@@ -250,6 +250,8 @@ def _cmd_verify(args) -> dict:
 def _cmd_horocycle(args) -> dict:
     c = args.curvature
     n = args.n
+    if args.steps < 1:
+        raise UsageError("--steps must be at least 1")
     tol = _tolerance(args)
     rng = np.random.default_rng(args.seed)
     if args.subspace:

@@ -11,6 +11,25 @@ element a B + U + x Z of the algebra; an ANPoint is the group element
 Exp(a B + U + x Z) acting on the base point, stored in these canonical
 exponential coordinates.
 
+The algebra is computed in flat coordinates
+
+    [a, re u1, im u1, ..., re u_(n-1), im u_(n-1), x]   in R^(2n),
+
+an orthonormal basis e_i of the left-invariant metric.  One structure-
+constant tensor C[i,j,k] = <[e_i, e_j], e_k> per (n, c) gives the bracket.
+The Levi-Civita connection of a left-invariant metric follows from the
+Koszul formula in an orthonormal basis,
+
+    Gamma[i,j,k] = <nabla_(e_i) e_j, e_k> = (C[i,j,k] - C[j,k,i] + C[k,i,j]) / 2,
+
+and the curvature is the closed form in the matrix of J, written once for
+vectors that broadcast over batches and frames; on the basis vectors of a
+frame it gives the tensor R[i,j,k,l] = <R(e_i, e_j) e_k, e_l>.  The dense
+C and Gamma have (2n)^3 entries, so bracket and levi_civita cost O(n^3).
+ANVector is the validated API boundary only: the public functions take and
+return ANVectors but compute on flat arrays, validating one ANVector for
+their result.
+
 The ruled minimal submanifolds W_w are orbits of the subgroups with
 Lie algebra a + w + g_2alpha for a proper real subspace w of g_alpha.
 """
@@ -104,15 +123,62 @@ def _check_compatible(X: ANVector, Y: ANVector):
         raise DimensionMismatch(f"different curvatures: {X.c} vs {Y.c}")
 
 
+def _flat_J(n: int) -> np.ndarray:
+    """Matrix of J on flat coordinates: J B = Z, J Z = -B, J U = i U."""
+    J = np.zeros((2 * n, 2 * n))
+    J[1:-1, 1:-1] = complex_structure(n - 1)
+    J[-1, 0], J[0, -1] = 1.0, -1.0
+    return J
+
+
+def _structure(n: int, c: float) -> np.ndarray:
+    """Structure constants C[i, j, k] = <[e_i, e_j], e_k> in flat coordinates."""
+    N = 2 * n
+    sq = np.sqrt(-c)
+    C = np.zeros((N, N, N))
+    g = np.arange(1, N - 1)
+    C[0, g, g], C[g, 0, g] = sq / 2, -sq / 2  # 2 [B, U] = sqrt(-c) U
+    C[0, -1, -1], C[-1, 0, -1] = sq, -sq  # [B, Z] = sqrt(-c) Z
+    C[1:-1, 1:-1, -1] = sq * complex_structure(n - 1).T  # [U, V] = sqrt(-c) <JU, V> Z
+    return C
+
+
+def _koszul(C: np.ndarray) -> np.ndarray:
+    """Connection Gamma[i, j, k] = <nabla_(e_i) e_j, e_k> of a left-invariant
+    metric from its structure constants C in an orthonormal frame."""
+    return 0.5 * (C - np.einsum("jki->ijk", C) + np.einsum("kij->ijk", C))
+
+
+def _curvature(x: np.ndarray, y: np.ndarray, z: np.ndarray, J: np.ndarray, c: float):
+    """R(x, y) z in an orthonormal frame where J acts as the matrix J,
+    broadcasting over leading axes:
+
+    R(X,Y)Z = (c/4) ( <Y,Z>X - <X,Z>Y + <JY,Z>JX - <JX,Z>JY - 2<JX,Y>JZ ).
+    """
+    Jx, Jy, Jz = x @ J.T, y @ J.T, z @ J.T
+
+    def dot(u, v):
+        return (u * v).sum(-1, keepdims=True)
+
+    return (c / 4.0) * (
+        dot(y, z) * x - dot(x, z) * y + dot(Jy, z) * Jx - dot(Jx, z) * Jy - 2.0 * dot(Jx, y) * Jz
+    )
+
+
+def _contract(T: np.ndarray, X: ANVector, Y: ANVector) -> ANVector:
+    """The vector T(X, Y) of a flat-coordinate bilinear map T[i, j, k]."""
+    return ANVector.from_flat(Y.flat() @ np.tensordot(X.flat(), T, axes=1), X.c)
+
+
 def an_inner(X: ANVector, Y: ANVector) -> float:
     """Left-invariant Riemannian metric: B, Z unit, g_alpha standard."""
     _check_compatible(X, Y)
-    return float(X.a * Y.a + np.real(np.vdot(Y.U, X.U)) + X.x * Y.x)
+    return float(X.flat() @ Y.flat())
 
 
 def an_J(X: ANVector) -> ANVector:
     """Complex structure: J B = Z, J Z = -B, J U = i U."""
-    return ANVector(-X.x, 1j * X.U, X.a, X.c)
+    return ANVector.from_flat(_flat_J(X.n) @ X.flat(), X.c)
 
 
 def an_norm(X: ANVector) -> float:
@@ -120,33 +186,23 @@ def an_norm(X: ANVector) -> float:
 
 
 def bracket(X: ANVector, Y: ANVector) -> ANVector:
-    """Lie bracket of a + g_alpha + g_2alpha.
+    """Lie bracket of a + g_alpha + g_2alpha:
 
     [B, Z] = sqrt(-c) Z, 2 [B, U] = sqrt(-c) U,
     [U, V] = sqrt(-c) <JU, V> Z, [Z, U] = 0.
     """
     _check_compatible(X, Y)
-    sq = np.sqrt(-X.c)
-    U_part = 0.5 * sq * (X.a * Y.U - Y.a * X.U)
-    juv = np.real(np.vdot(Y.U, 1j * X.U))  # <J U_X, U_Y>
-    x_part = sq * (X.a * Y.x - Y.a * X.x + juv)
-    return ANVector(0.0, U_part, x_part, X.c)
+    return _contract(_structure(X.n, X.c), X, Y)
 
 
 def levi_civita(X: ANVector, Y: ANVector) -> ANVector:
-    """Levi-Civita connection on left-invariant fields.
+    """Levi-Civita connection nabla_X Y on left-invariant fields (Koszul).
 
     nabla_{aB+U+xZ}(bB+V+yZ) = sqrt(-c) { (<U,V>/2 + x y) B
         - (b U + y J U + x J V)/2 + (<JU,V>/2 - b x) Z }.
     """
     _check_compatible(X, Y)
-    sq = np.sqrt(-X.c)
-    uv = np.real(np.vdot(Y.U, X.U))
-    juv = np.real(np.vdot(Y.U, 1j * X.U))
-    a_part = sq * (0.5 * uv + X.x * Y.x)
-    U_part = -0.5 * sq * (Y.a * X.U + Y.x * (1j * X.U) + X.x * (1j * Y.U))
-    x_part = sq * (0.5 * juv - Y.a * X.x)
-    return ANVector(a_part, U_part, x_part, X.c)
+    return _contract(_koszul(_structure(X.n, X.c)), X, Y)
 
 
 def curvature_tensor(X: ANVector, Y: ANVector, Zv: ANVector) -> ANVector:
@@ -156,15 +212,8 @@ def curvature_tensor(X: ANVector, Y: ANVector, Zv: ANVector) -> ANVector:
     """
     _check_compatible(X, Y)
     _check_compatible(X, Zv)
-    JX, JY, JZ = an_J(X), an_J(Y), an_J(Zv)
-    out = (
-        an_inner(Y, Zv) * X
-        - an_inner(X, Zv) * Y
-        + an_inner(JY, Zv) * JX
-        - an_inner(JX, Zv) * JY
-        - 2.0 * an_inner(JX, Y) * JZ
-    )
-    return (X.c / 4.0) * out
+    R = _curvature(X.flat(), Y.flat(), Zv.flat(), _flat_J(X.n), X.c)
+    return ANVector.from_flat(R, X.c)
 
 
 def rho(s: float) -> float:
@@ -197,6 +246,21 @@ class ANPoint:
         return ANPoint(-self.coords)
 
 
+def _product(g: np.ndarray, h: np.ndarray, c: float) -> np.ndarray:
+    """group_product on flat exponential coordinates."""
+    a, b = float(g[0]), float(h[0])
+    ra, rb, ea = rho(a / 2), rho(b / 2), np.exp(a / 2)
+    u, v = g[1:-1], h[1:-1]
+    juv = u[0::2] @ v[1::2] - u[1::2] @ v[0::2]  # <JU, V>
+    out = np.empty_like(g)
+    out[0] = a + b
+    out[1:-1] = (ra * u + ea * rb * v) * (1.0 / rho((a + b) / 2))
+    out[-1] = (
+        rho(a) * g[-1] + np.exp(a) * rho(b) * h[-1] + 0.5 * ea * np.sqrt(-c) * ra * rb * juv
+    ) / rho(a + b)
+    return out
+
+
 def group_product(g: ANPoint, h: ANPoint) -> ANPoint:
     """Product of AN in exponential coordinates.
 
@@ -205,18 +269,8 @@ def group_product(g: ANPoint, h: ANPoint) -> ANPoint:
         + rho(a+b)^-1 ( rho(a) x + e^a rho(b) y
                         + e^(a/2) sqrt(-c) rho(a/2) rho(b/2) <JU,V> / 2 ) Z ).
     """
-    X, Y = g.coords, h.coords
-    _check_compatible(X, Y)
-    a, b = X.a, Y.a
-    sq = np.sqrt(-X.c)
-    juv = np.real(np.vdot(Y.U, 1j * X.U))
-    U_new = (rho(a / 2) * X.U + np.exp(a / 2) * rho(b / 2) * Y.U) / rho((a + b) / 2)
-    x_new = (
-        rho(a) * X.x
-        + np.exp(a) * rho(b) * Y.x
-        + 0.5 * np.exp(a / 2) * sq * rho(a / 2) * rho(b / 2) * juv
-    ) / rho(a + b)
-    return ANPoint(ANVector(a + b, U_new, x_new, X.c))
+    _check_compatible(g.coords, h.coords)
+    return ANPoint(ANVector.from_flat(_product(g.coords.flat(), h.coords.flat(), g.c), g.c))
 
 
 # ---------------------------------------------------------------------------
@@ -257,23 +311,21 @@ class SubmanifoldW:
     def w_perp_subspace(self) -> RealSubspace:
         return RealSubspace(self.n - 1, self.w_perp_basis)
 
+    def _frame_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat coordinates of tangent_frame() and normal_frame(), as rows."""
+        T = np.zeros((self.tangent_dim, 2 * self.n))
+        T[0, 0] = T[1, -1] = 1.0
+        T[2:, 1:-1] = np.vstack([self.c_part_basis, self.p_perp_basis])
+        V = np.zeros((self.k, 2 * self.n))
+        V[:, 1:-1] = self.w_perp_basis
+        return T, V
+
     def tangent_frame(self) -> list[ANVector]:
         """Orthonormal tangent frame at o: [B, Z, c_part..., P w_perp...]."""
-        out = [
-            ANVector(1.0, np.zeros(self.n - 1, dtype=complex), 0.0, self.c),
-            ANVector(0.0, np.zeros(self.n - 1, dtype=complex), 1.0, self.c),
-        ]
-        for row in self.c_part_basis:
-            out.append(ANVector(0.0, row[0::2] + 1j * row[1::2], 0.0, self.c))
-        for row in self.p_perp_basis:
-            out.append(ANVector(0.0, row[0::2] + 1j * row[1::2], 0.0, self.c))
-        return out
+        return [ANVector.from_flat(row, self.c) for row in self._frame_rows()[0]]
 
     def normal_frame(self) -> list[ANVector]:
-        return [
-            ANVector(0.0, row[0::2] + 1j * row[1::2], 0.0, self.c)
-            for row in self.w_perp_basis
-        ]
+        return [ANVector.from_flat(row, self.c) for row in self._frame_rows()[1]]
 
 
 def build_w(w: RealSubspace, n: int, c: float) -> SubmanifoldW:
@@ -299,10 +351,7 @@ def build_w(w: RealSubspace, n: int, c: float) -> SubmanifoldW:
 
 def _galpha_flat(X: ANVector) -> np.ndarray:
     """Interleaved real coordinates of the g_alpha component."""
-    out = np.empty(2 * (X.n - 1))
-    out[0::2] = X.U.real
-    out[1::2] = X.U.imag
-    return out
+    return X.flat()[1:-1]
 
 
 def _tangent_residual(Wspec: SubmanifoldW, X: ANVector) -> float:
@@ -311,6 +360,14 @@ def _tangent_residual(Wspec: SubmanifoldW, X: ANVector) -> float:
     if Wspec.k == 0:
         return 0.0
     return float(np.linalg.norm(Wspec.w_perp_basis @ v))
+
+
+def _zp_coupling(Wspec: SubmanifoldW) -> np.ndarray:
+    """K[e, j] = <II(Z, P_e), xi_j> = -(sqrt(-c)/2) <J P_e, xi_j> for the rows
+    P_e of p_perp_basis and xi_j of w_perp_basis: in the adapted frame these
+    are the only nonzero components of the second fundamental form."""
+    J = complex_structure(Wspec.n - 1)
+    return -0.5 * np.sqrt(-Wspec.c) * (Wspec.p_perp_basis @ J.T) @ Wspec.w_perp_basis.T
 
 
 def second_fundamental_form(
@@ -329,32 +386,18 @@ def second_fundamental_form(
             raise DimensionMismatch("vector does not match the submanifold data")
         if _tangent_residual(Wspec, V) > tol * max(1.0, an_norm(V)):
             raise NotTangent("argument is not tangent to W_w at o")
-    m = Wspec.n - 1
-    J = complex_structure(m)
-    sq = np.sqrt(-Wspec.c)
-
-    def p_component(V: ANVector) -> np.ndarray:
-        v = _galpha_flat(V)
-        if Wspec.p_perp_basis.shape[0] == 0:
-            return np.zeros(2 * m)
-        return Wspec.p_perp_basis.T @ (Wspec.p_perp_basis @ v)
-
-    def normal_part(v: np.ndarray) -> np.ndarray:
-        if Wspec.k == 0:
-            return np.zeros(2 * m)
-        return Wspec.w_perp_basis.T @ (Wspec.w_perp_basis @ v)
-
-    out = -0.5 * sq * (
-        X.x * normal_part(J @ p_component(Y)) + Y.x * normal_part(J @ p_component(X))
-    )
-    return ANVector(0.0, out[0::2] + 1j * out[1::2], 0.0, Wspec.c)
+    P = Wspec.p_perp_basis
+    coef = (X.x * (P @ _galpha_flat(Y)) + Y.x * (P @ _galpha_flat(X))) @ _zp_coupling(Wspec)
+    out = np.zeros(2 * Wspec.n)
+    out[1:-1] = coef @ Wspec.w_perp_basis
+    return ANVector.from_flat(out, Wspec.c)
 
 
 def shape_operator(Wspec: SubmanifoldW, xi: ANVector, tol: float = 1e-9) -> np.ndarray:
     """Matrix of the shape operator of W_w in the tangent_frame() basis.
 
-    <A_xi X, Y> = <II(X, Y), xi>.  The diagonal vanishes identically in
-    this frame, so the trace is exactly zero: W_w is minimal.
+    <A_xi X, Y> = <II(X, Y), xi>.  Only the Z row and column are filled, off
+    the diagonal, so the trace is exactly zero: W_w is minimal.
     """
     if xi.n != Wspec.n or xi.c != Wspec.c:
         raise DimensionMismatch("normal vector does not match the submanifold data")
@@ -363,86 +406,57 @@ def shape_operator(Wspec: SubmanifoldW, xi: ANVector, tol: float = 1e-9) -> np.n
         v - Wspec.w_perp_basis.T @ (Wspec.w_perp_basis @ v)
     ) > tol * max(1.0, an_norm(xi)) or abs(xi.a) > tol or abs(xi.x) > tol:
         raise NotNormal("xi is not normal to W_w at o")
-    frame = Wspec.tangent_frame()
-    d = len(frame)
+    coef = _zp_coupling(Wspec) @ (Wspec.w_perp_basis @ v)
+    d = Wspec.tangent_dim
     A = np.zeros((d, d))
-    for i, Ei in enumerate(frame):
-        for j in range(i + 1, d):
-            val = an_inner(second_fundamental_form(Wspec, Ei, frame[j]), xi)
-            A[i, j] = val
-            A[j, i] = val
+    A[1, d - len(coef):] = A[d - len(coef):, 1] = coef
     return A
 
 
-def fundamental_equation_residuals(
-    Wspec: SubmanifoldW, samples: int = 10, seed: int = 0
-) -> tuple[float, float, float]:
-    """Max residuals of the Gauss, Codazzi and Ricci equations for W_w.
+def fundamental_equation_residuals(Wspec: SubmanifoldW) -> tuple[float, float, float]:
+    """Largest components of the Gauss, Codazzi and Ricci equations for W_w.
 
-    All objects are evaluated on left-invariant fields at the base point:
-    the intrinsic connection is the tangential part of the ambient one,
-    the normal connection its normal part, and the second fundamental
-    form enters through its defining Z/P-coupling.  For the ruled minimal
-    submanifolds all three residuals vanish to rounding error.
+    On left-invariant fields every object is a constant tensor in the
+    adapted orthonormal frame (tangent_frame() then normal_frame()): the
+    ambient connection is Gamma in that frame, the intrinsic and normal
+    connections are its tangent-tangent-tangent and tangent-normal-normal
+    blocks, and the second fundamental form h is the closed-form Z/P
+    coupling.  With R(X,Y) = [nabla_X, nabla_Y] - nabla_[X,Y] the three
+    equations are identities between tensors on the frame:
+
+        Gauss    R(a,b,c,d) = R_int(a,b,c,d) - <h(b,c),h(a,d)> + <h(a,c),h(b,d)>
+        Codazzi  R(a,b,c,x) = (nabla_a h)(b,c,x) - (nabla_b h)(a,c,x)
+        Ricci    R_perp(a,b,x,y) = R(a,b,x,y) + <[A_x, A_y] a, b>
+
+    Returns the largest absolute component of each difference; all three
+    vanish to rounding error.  The curvature tensors have (2n)^4 entries.
     """
-    rng = np.random.default_rng(seed)
-    tang = Wspec.tangent_frame()
-    norm = Wspec.normal_frame()
-    zero = 0.0 * tang[0]
-
-    def tan(V):
-        return sum((an_inner(V, E) * E for E in tang), zero)
-
-    def nor(V):
-        return sum((an_inner(V, E) * E for E in norm), zero)
-
-    def ii(X, Y):
-        return second_fundamental_form(Wspec, X, Y)
-
-    def nab(X, Y):
-        return tan(levi_civita(X, Y))
-
-    def nab_perp(X, xi):
-        return nor(levi_civita(X, xi))
-
-    def r_int(X, Y, Z):
-        return nab(X, nab(Y, Z)) - nab(Y, nab(X, Z)) - nab(bracket(X, Y), Z)
-
-    def r_perp(X, Y, xi):
-        return (
-            nab_perp(X, nab_perp(Y, xi))
-            - nab_perp(Y, nab_perp(X, xi))
-            - nab_perp(bracket(X, Y), xi)
-        )
-
-    def shape(xi, X):
-        return sum((an_inner(ii(X, E), xi) * E for E in tang), zero)
-
-    def d_ii(X, Y, Z):
-        return nor(levi_civita(X, ii(Y, Z))) - ii(nab(X, Y), Z) - ii(Y, nab(X, Z))
-
-    gauss = codazzi = ricci = 0.0
-    for _ in range(samples):
-        X, Y, Z, Wv = (
-            sum((rng.standard_normal() * E for E in tang), zero) for _ in range(4)
-        )
-        xi, eta = (sum((rng.standard_normal() * E for E in norm), zero) for _ in range(2))
-        lhs = an_inner(curvature_tensor(X, Y, Z), Wv)
-        rhs = (
-            an_inner(r_int(X, Y, Z), Wv)
-            - an_inner(ii(Y, Z), ii(X, Wv))
-            + an_inner(ii(X, Z), ii(Y, Wv))
-        )
-        gauss = max(gauss, abs(lhs - rhs))
-        lhs = an_inner(curvature_tensor(X, Y, Z), xi)
-        rhs = an_inner(d_ii(X, Y, Z) - d_ii(Y, X, Z), xi)
-        codazzi = max(codazzi, abs(lhs - rhs))
-        lhs = an_inner(r_perp(X, Y, xi), eta)
-        rhs = an_inner(curvature_tensor(X, Y, xi), eta) + an_inner(
-            shape(xi, shape(eta, X)) - shape(eta, shape(xi, X)), Y
-        )
-        ricci = max(ricci, abs(lhs - rhs))
-    return gauss, codazzi, ricci
+    T, V = Wspec._frame_rows()
+    F = np.vstack([T, V])
+    C = _structure(Wspec.n, Wspec.c)
+    CF = np.einsum("ia,jb,kc,abc->ijk", F, F, F, C, optimize=True)
+    G = _koszul(CF)
+    JF = F @ _flat_J(Wspec.n) @ F.T
+    E = np.eye(len(F))
+    R = _curvature(E[:, None, None], E[None, :, None], E[None, None, :], JF, Wspec.c)
+    d = len(T)
+    t, v = slice(0, d), slice(d, None)
+    Ct, Gt, Gn = CF[t, t, t], G[t, t, t], G[t, v, v]
+    K = _zp_coupling(Wspec)
+    h = np.zeros((d, d, Wspec.k))
+    h[1, d - len(K):] = h[d - len(K):, 1] = K
+    ein = np.einsum
+    r_int = (
+        ein("bce,aed->abcd", Gt, Gt) - ein("ace,bed->abcd", Gt, Gt) - ein("abe,ecd->abcd", Ct, Gt)
+    )
+    gauss = R[t, t, t, t] - r_int + ein("bcx,adx->abcd", h, h) - ein("acx,bdx->abcd", h, h)
+    dh = ein("bcy,ayx->abcx", h, Gn) - ein("abe,ecx->abcx", Gt, h) - ein("ace,bex->abcx", Gt, h)
+    codazzi = R[t, t, t, v] - dh + dh.transpose(1, 0, 2, 3)
+    r_perp = (
+        ein("bxz,azy->abxy", Gn, Gn) - ein("axz,bzy->abxy", Gn, Gn) - ein("abe,exy->abxy", Ct, Gn)
+    )
+    ricci = r_perp - R[t, t, v, v] - ein("aey,ebx->abxy", h, h) + ein("aex,eby->abxy", h, h)
+    return tuple(float(np.abs(E).max()) for E in (gauss, codazzi, ricci))
 
 
 def horocycle_point(p: ANPoint, U: ANVector, t: float) -> ANPoint:
@@ -457,7 +471,7 @@ def horocycle_point(p: ANPoint, U: ANVector, t: float) -> ANPoint:
     if abs(an_norm(U) - 1.0) > 1e-10:
         raise ValueError("U must be a unit vector")
     _check_compatible(p.coords, U)
-    return group_product(p, ANPoint(t * U))
+    return ANPoint(ANVector.from_flat(_product(p.coords.flat(), t * U.flat(), p.c), p.c))
 
 
 def contains_point(p: ANPoint, Wspec: SubmanifoldW, tol: float = 1e-9) -> bool:

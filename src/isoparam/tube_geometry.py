@@ -187,6 +187,23 @@ def angle_factor_cubic(lam: float, phi: float, c: float) -> np.ndarray:
     )
 
 
+def _char_factors(n: int, k: int, r: float, phi: float, c: float):
+    """Factors of the tube characteristic polynomial, inputs validated:
+    (lam, mu, the angle factor, power of (lam - x), power of (mu - x))."""
+    if n < 2 or not 1 <= k <= 2 * n - 3:
+        raise InvalidCodimension(f"need n >= 2 and 1 <= k <= 2n-3, got n={n}, k={k}")
+    if not r > 0:  # also rejects NaN
+        raise FocalRadius("tube radius must be positive")
+    if not 0 <= phi <= np.pi / 2 + 1e-12:
+        raise ValueError("phi must lie in [0, pi/2]")
+    lam = _tube_lambda(r, c)
+    mu = -c / (4 * lam)
+    if k == 1:
+        quad, _ = np.polydiv(angle_factor_cubic(lam, np.pi / 2, c), np.array([-1.0, mu]))
+        return lam, mu, quad, 2 * n - 3, 0
+    return lam, mu, angle_factor_cubic(lam, phi, c), 2 * n - k - 2, k - 2
+
+
 def tube_char_poly(n: int, k: int, r: float, phi: float, c: float) -> np.ndarray:
     """Characteristic polynomial of the tube shape operator, degree 2n-1.
 
@@ -197,24 +214,7 @@ def tube_char_poly(n: int, k: int, r: float, phi: float, c: float) -> np.ndarray
 
     Returns coefficients with the highest degree first.
     """
-    if n < 2 or not 1 <= k <= 2 * n - 3:
-        raise InvalidCodimension(f"need n >= 2 and 1 <= k <= 2n-3, got n={n}, k={k}")
-    if r <= 0:
-        raise FocalRadius("tube radius must be positive")
-    if not 0 <= phi <= np.pi / 2 + 1e-12:
-        raise ValueError("phi must lie in [0, pi/2]")
-    lam = _tube_lambda(r, c)
-    mu = -c / (4 * lam)
-    if k == 1:
-        cubic = angle_factor_cubic(lam, np.pi / 2, c)
-        quad, rem = np.polydiv(cubic, np.array([-1.0, mu]))
-        poly = quad
-        power_lam = 2 * n - 3
-        power_mu = 0
-    else:
-        poly = angle_factor_cubic(lam, phi, c)
-        power_lam = 2 * n - k - 2
-        power_mu = k - 2
+    lam, mu, poly, power_lam, power_mu = _char_factors(n, k, r, phi, c)
     for _ in range(power_lam):
         poly = np.polymul(poly, np.array([-1.0, lam]))
     for _ in range(power_mu):
@@ -226,18 +226,8 @@ def tube_char_roots(n: int, k: int, r: float, phi: float, c: float) -> np.ndarra
     """Roots of tube_char_poly, ascending.  The cubic (or quadratic) factor
     is solved through the companion matrix; the power factors contribute
     their roots exactly."""
-    lam = _tube_lambda(r, c)
-    mu = -c / (4 * lam)
-    if k == 1:
-        cubic = angle_factor_cubic(lam, np.pi / 2, c)
-        quad, _ = np.polydiv(cubic, np.array([-1.0, mu]))
-        roots = list(_poly_roots(quad)) + [lam] * (2 * n - 3)
-    else:
-        roots = (
-            list(_poly_roots(angle_factor_cubic(lam, phi, c)))
-            + [lam] * (2 * n - k - 2)
-            + [mu] * (k - 2)
-        )
+    lam, mu, factor, power_lam, power_mu = _char_factors(n, k, r, phi, c)
+    roots = list(_poly_roots(factor)) + [lam] * power_lam + [mu] * power_mu
     return np.sort(np.array(roots))
 
 

@@ -104,13 +104,12 @@ def _record(results, module, name, residuals, tol, inputs=None):
     )
 
 
-def _random_an(rng, n, c) -> sm.ANVector:
-    return sm.ANVector(
-        rng.standard_normal(),
-        rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1),
-        rng.standard_normal(),
-        c,
-    )
+def _random_flat(rng, n) -> np.ndarray:
+    """A random algebra element in flat coordinates, drawn as a, re U, im U, x."""
+    a, re, im = rng.standard_normal(), rng.standard_normal(n - 1), rng.standard_normal(n - 1)
+    out = np.empty(2 * n)
+    out[0], out[1:-1:2], out[2:-1:2], out[-1] = a, re, im, rng.standard_normal()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -293,30 +292,29 @@ def _suite_group(config: RunConfig) -> SuiteResult:
     cc = config.curvature_c
 
     rng = _rng(config, "group", 0)
-    res_t, res_m, res_c, res_j = [], [], [], []
+    by_n: dict[int, list] = {}
     for trial in range(500):
         n = int(rng.integers(2, 6))
-        X, Y, Z = (_random_an(rng, n, cc) for _ in range(3))
-        res_t.append(
-            sm.an_norm(sm.levi_civita(X, Y) - sm.levi_civita(Y, X) - sm.bracket(X, Y))
-        )
-        res_m.append(
-            abs(sm.an_inner(sm.levi_civita(X, Y), Z) + sm.an_inner(Y, sm.levi_civita(X, Z)))
-        )
-        R1 = sm.curvature_tensor(X, Y, Z)
-        R2 = (
-            sm.levi_civita(X, sm.levi_civita(Y, Z))
-            - sm.levi_civita(Y, sm.levi_civita(X, Z))
-            - sm.levi_civita(sm.bracket(X, Y), Z)
-        )
-        res_c.append(sm.an_norm(R1 - R2))
-        res_j.append(
-            sm.an_norm(
-                sm.bracket(X, sm.bracket(Y, Z))
-                + sm.bracket(Y, sm.bracket(Z, X))
-                + sm.bracket(Z, sm.bracket(X, Y))
-            )
-        )
+        by_n.setdefault(n, []).append([_random_flat(rng, n) for _ in range(3)])
+    res_t, res_m, res_c, res_j = [], [], [], []
+    for n, triples in by_n.items():
+        X, Y, Z = np.moveaxis(np.array(triples), 1, 0)
+        C = sm._structure(n, cc)
+        G = sm._koszul(C)
+
+        def br(U, V):
+            return np.einsum("ti,tj,ijk->tk", U, V, C)
+
+        def nab(U, V):
+            return np.einsum("ti,tj,ijk->tk", U, V, G)
+
+        res_t.extend(np.linalg.norm(nab(X, Y) - nab(Y, X) - br(X, Y), axis=1))
+        res_m.extend(np.abs((nab(X, Y) * Z).sum(1) + (Y * nab(X, Z)).sum(1)))
+        R1 = sm._curvature(X, Y, Z, sm._flat_J(n), cc)
+        R2 = nab(X, nab(Y, Z)) - nab(Y, nab(X, Z)) - nab(br(X, Y), Z)
+        res_c.extend(np.linalg.norm(R1 - R2, axis=1))
+        cyc = br(X, br(Y, Z)) + br(Y, br(Z, X)) + br(Z, br(X, Y))
+        res_j.extend(np.linalg.norm(cyc, axis=1))
     _record(out.checks, "solvable_model", "torsion_free", res_t, 1e-10)
     _record(out.checks, "solvable_model", "metric_compatibility", res_m, 1e-10)
     _record(out.checks, "solvable_model", "curvature_vs_connection", res_c, 1e-9)
@@ -326,10 +324,10 @@ def _suite_group(config: RunConfig) -> SuiteResult:
     res = []
     for trial in range(200):
         n = int(rng.integers(2, 6))
-        p1, p2, p3 = (sm.ANPoint(0.5 * _random_an(rng, n, cc)) for _ in range(3))
-        left = sm.group_product(sm.group_product(p1, p2), p3).coords
-        right = sm.group_product(p1, sm.group_product(p2, p3)).coords
-        res.append(sm.an_norm(left - right))
+        p1, p2, p3 = (0.5 * _random_flat(rng, n) for _ in range(3))
+        left = sm._product(sm._product(p1, p2, cc), p3, cc)
+        right = sm._product(p1, sm._product(p2, p3, cc), cc)
+        res.append(np.linalg.norm(left - right))
     _record(out.checks, "solvable_model", "associativity", res, 1e-10)
 
     rng = _rng(config, "group", 2)
@@ -340,16 +338,14 @@ def _suite_group(config: RunConfig) -> SuiteResult:
         k = int(rng.integers(1, 2 * m + 1))
         w = ka.random_subspace(m, 2 * m - k, int(rng.integers(2**31)))
         W = sm.build_w(w, n, cc)
-        p = sm.ANPoint.origin(n, cc)
+        p = np.zeros(2 * n)
         for _ in range(200):
-            a, x = 0.15 * rng.standard_normal(2)
+            step = np.zeros(2 * n)
+            step[0], step[-1] = 0.15 * rng.standard_normal(2)
             if w.dim:
-                coefs = 0.2 * rng.standard_normal(w.dim)
-                U = coefs @ (w.basis[:, 0::2] + 1j * w.basis[:, 1::2])
-            else:
-                U = np.zeros(m, dtype=complex)
-            p = sm.group_product(p, sm.ANPoint(sm.ANVector(a, U, x, cc)))
-        res.append(np.linalg.norm(W.w_perp_basis @ sm._galpha_flat(p.coords)))
+                step[1:-1] = (0.2 * rng.standard_normal(w.dim)) @ w.basis
+            p = sm._product(p, step, cc)
+        res.append(np.linalg.norm(W.w_perp_basis @ p[1:-1]))
     _record(out.checks, "solvable_model", "subgroup_closure_200_factors", res, 1e-9)
 
     rng = _rng(config, "group", 3)
@@ -374,9 +370,8 @@ def _suite_group(config: RunConfig) -> SuiteResult:
         k = int(rng.integers(1, 2 * m + 1))
         w = ka.random_subspace(m, 2 * m - k, int(rng.integers(2**31)))
         W = sm.build_w(w, n, cc)
-        res.extend(
-            sm.fundamental_equation_residuals(W, samples=8, seed=int(rng.integers(2**31)))
-        )
+        rng.integers(2**31)  # unused seed draw: keeps later draws, and the per-seed verdicts
+        res.extend(sm.fundamental_equation_residuals(W))
     _record(out.checks, "solvable_model", "gauss_codazzi_ricci", res, 1e-10)
 
     rng = _rng(config, "group", 4)
@@ -390,15 +385,13 @@ def _suite_group(config: RunConfig) -> SuiteResult:
         if W is None:
             res.append(0.0)
             continue
-        coefs = rng.standard_normal(kw)
-        U_flat = coefs @ w.basis
-        U_flat /= np.linalg.norm(U_flat)
-        U = sm.ANVector(0.0, U_flat[0::2] + 1j * U_flat[1::2], 0.0, cc)
-        p = sm.ANPoint.origin(n, cc)
+        U = np.zeros(2 * n)
+        U[1:-1] = rng.standard_normal(kw) @ w.basis
+        U /= np.linalg.norm(U)
+        p = np.zeros(2 * n)
         for _ in range(3):
-            t = float(rng.uniform(-2, 2))
-            p = sm.horocycle_point(p, U, t)
-        res.append(np.linalg.norm(W.w_perp_basis @ sm._galpha_flat(p.coords)))
+            p = sm._product(p, float(rng.uniform(-2, 2)) * U, cc)
+        res.append(np.linalg.norm(W.w_perp_basis @ p[1:-1]))
     _record(out.checks, "solvable_model", "horocycle_membership", res, 1e-9)
 
     return out

@@ -206,6 +206,11 @@ class TestHorocycle:
         assert len(payload["points"]) == 8
         assert all(pt["in_w_tube_core"] for pt in payload["points"])
 
+    def test_rejects_nonpositive_steps(self, capsys):
+        code, out = run_cli(capsys, "horocycle", "--n", "3", "--steps", "-5")
+        assert code == EXIT_USAGE
+        validate("error", json.loads(out))
+
     def test_tol_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("ISOPARAM_TOL", "1e-30")
         code, out = run_cli(
@@ -251,6 +256,17 @@ class TestDeterminismAndErrors:
         )
         assert code == EXIT_NOINPUT
         validate("error", json.loads(out))
+
+    @pytest.mark.parametrize("radius", ["0", "-1"])
+    def test_focal_or_negative_radius(self, capsys, line_in_c2, radius):
+        code, out = run_cli(
+            capsys, "spectrum", "--subspace", line_in_c2, "--n", "3",
+            "--radius", radius, "--output", "json",
+        )
+        assert code == EXIT_VALIDATION
+        payload = json.loads(out)
+        validate("error", payload)
+        assert payload["error"]["type"] == "FocalRadius"
 
     def test_validation_failure(self, capsys):
         code, out = run_cli(

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import solvable_oracles as oracle
 
+from isoparam import solvable_model as sm
 from isoparam import (
     ANPoint,
     ANVector,
@@ -276,9 +278,7 @@ class TestSecondFundamentalForm:
             m = n - 1
             k = int(rng.integers(1, 2 * m + 1))
             W = build_w(random_subspace(m, 2 * m - k, int(rng.integers(2**31))), n, C)
-            gauss, codazzi, ricci = fundamental_equation_residuals(
-                W, samples=8, seed=int(rng.integers(2**31))
-            )
+            gauss, codazzi, ricci = fundamental_equation_residuals(W)
             assert gauss < 1e-10
             assert codazzi < 1e-10
             assert ricci < 1e-10
@@ -354,3 +354,61 @@ class TestMembership:
             row = coefs @ w.basis
             p = group_product(p, ANPoint(ANVector(a, row[0::2] + 1j * row[1::2], x, C)))
         assert contains_point(p, W, 1e-9)
+
+
+class TestTensorOracles:
+    """The tensor-derived group model against the hand-written formulas."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_bilinear_maps_match_formulas(self, n):
+        rng = np.random.default_rng(30 + n)
+        for c in (C, -1.0):
+            for _ in range(20):
+                X, Y, Z = (rand_vec(rng, n, c) for _ in range(3))
+                assert an_norm(bracket(X, Y) - oracle.bracket(X, Y)) < 1e-12
+                assert an_norm(levi_civita(X, Y) - oracle.levi_civita(X, Y)) < 1e-12
+                gap = curvature_tensor(X, Y, Z) - oracle.curvature_tensor(X, Y, Z)
+                assert an_norm(gap) < 1e-12
+                assert an_norm(an_J(X) - oracle.an_J(X)) == 0.0
+                assert abs(an_inner(X, Y) - oracle.an_inner(X, Y)) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_second_fundamental_form_matches_formula(self, n):
+        rng = np.random.default_rng(40 + n)
+        m = n - 1
+        for _ in range(5):
+            k = int(rng.integers(1, 2 * m + 1))
+            W = build_w(random_subspace(m, 2 * m - k, int(rng.integers(2**31))), n, C)
+            frame = W.tangent_frame()
+            X, Y = (
+                sum((rng.standard_normal() * E for E in frame), 0.0 * frame[0]) for _ in range(2)
+            )
+            gap = second_fundamental_form(W, X, Y) - oracle.second_fundamental_form(W, X, Y)
+            assert an_norm(gap) < 1e-12
+            for xi in W.normal_frame():
+                A = shape_operator(W, xi)
+                ref = np.array(
+                    [
+                        [an_inner(oracle.second_fundamental_form(W, E, F), xi) for F in frame]
+                        for E in frame
+                    ]
+                )
+                assert np.abs(A - ref).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_exact_identities_agree_with_sampled_equations(self, n):
+        rng = np.random.default_rng(50 + n)
+        m = n - 1
+        for _ in range(3):
+            k = int(rng.integers(1, 2 * m + 1))
+            W = build_w(random_subspace(m, 2 * m - k, int(rng.integers(2**31))), n, C)
+            assert max(sm.fundamental_equation_residuals(W)) < 1e-12
+            assert max(oracle.sampled_fundamental_residuals(W, samples=4, seed=n)) < 1e-10
+
+    def test_exact_identities_detect_a_wrong_second_fundamental_form(self, monkeypatch):
+        W = build_w(random_subspace(2, 3, seed=4), 3, C)  # a real hyperplane: P w_perp = J w_perp
+        assert max(sm.fundamental_equation_residuals(W)) < 1e-12
+        coupling = sm._zp_coupling
+        monkeypatch.setattr(sm, "_zp_coupling", lambda Wspec: 2.0 * coupling(Wspec))
+        gauss, _, _ = sm.fundamental_equation_residuals(W)
+        assert gauss > 0.1

@@ -171,6 +171,20 @@ class TestCharPoly:
         with pytest.raises(FocalRadius):
             tube_char_poly(3, 2, 0.0, 0.0, C)
 
+    @pytest.mark.parametrize(
+        "n, k, r, error",
+        [
+            (3, 2, 0.0, FocalRadius),
+            (3, 2, -1.0, FocalRadius),
+            (3, 2, float("nan"), FocalRadius),
+            (3, 9, 1.0, InvalidCodimension),
+        ],
+        ids=["zero-radius", "negative-radius", "nan-radius", "k-too-large"],
+    )
+    def test_roots_validate_like_poly(self, n, k, r, error):
+        with pytest.raises(error):
+            tube_char_roots(n, k, r, 0.0, C)
+
 
 class TestMeanCurvature:
     def test_minimal_ruled_limit(self):
