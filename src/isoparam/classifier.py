@@ -35,7 +35,7 @@ from .errors import (
     PoleAtP,
     WNotProper,
 )
-from .indefinite_linalg import JordanClassification
+from .indefinite_linalg import JordanClassification, cluster
 from .kahler_angle import (
     ANGLE_TOL,
     KahlerProfile,
@@ -230,8 +230,8 @@ class ClassificationReport:
 def _check_radius(case: str, r: Optional[float]):
     if r is None:
         return
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
+    if not 0 <= r < np.inf:  # also rejects NaN
+        raise ValueError("radius must be finite and nonnegative")
     if r == 0 and case != "iv":
         raise ValueError("r = 0 is only the hypersurface itself in case iv")
 
@@ -366,18 +366,12 @@ class ProfileFamily:
     def at(self, *angles: float) -> KahlerProfile:
         """The profile at specific values of the free parameters."""
         it = iter(angles)
-        fixed = []
-        for a, m in self.entries:
-            fixed.append((next(it) if a is None else a, m))
-        merged: dict[float, int] = {}
-        for a, m in fixed:
-            for key in merged:
-                if abs(key - a) <= ANGLE_TOL:
-                    merged[key] += m
-                    break
-            else:
-                merged[a] = m
-        return KahlerProfile(tuple(merged.items()))
+        fixed = sorted((next(it) if a is None else a, m) for a, m in self.entries)
+        values, mults = np.array(fixed, dtype=float).reshape(-1, 2).T
+        return KahlerProfile(tuple(
+            (float(values[run].mean()), int(mults[run].sum()))
+            for run in cluster(values, ANGLE_TOL)
+        ))
 
     def to_list(self) -> list:
         return [[a, m] for a, m in self.entries]

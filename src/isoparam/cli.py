@@ -4,8 +4,9 @@ Subcommands: spectrum, classify, lift, moduli, verify, horocycle.
 
 Exit codes: 0 success, 2 numeric or validation failure (a machine-readable
 error record is printed), 64 usage error, 66 input file not found.  The
-environment variable ISOPARAM_TOL overrides the default tolerance.  For a
-fixed argv and seed the JSON output is byte-identical between runs.
+tolerance flag --tol, and the environment variable ISOPARAM_TOL that it
+overrides, apply to lift and horocycle only.  For a fixed argv and seed the
+JSON output is byte-identical between runs.
 """
 
 from __future__ import annotations
@@ -50,9 +51,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="isoparam", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command")
 
-    def common(p):
+    def common(p, tol=False):
         p.add_argument("--curvature", type=float, default=-4.0, help="ambient curvature c < 0")
-        p.add_argument("--tol", type=float, default=None, help="numeric tolerance")
+        if tol:
+            p.add_argument("--tol", type=float, default=None, help="numeric tolerance")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", choices=("json", "csv", "table"), default=None)
 
@@ -75,7 +77,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--angle", type=float, default=None)
 
     p = sub.add_parser("lift", help="Lorentzian lift: Jordan type and constraint residuals")
-    common(p)
+    common(p, tol=True)
     p.add_argument("--example", choices=EXAMPLES, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
@@ -95,7 +97,7 @@ def _build_parser() -> _Parser:
     )
 
     p = sub.add_parser("horocycle", help="generate horocycle points inside a W_w")
-    common(p)
+    common(p, tol=True)
     p.add_argument("--subspace")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--steps", type=int, default=8)
@@ -237,12 +239,7 @@ def _cmd_moduli(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
-    config = RunConfig(
-        curvature_c=args.curvature,
-        tol=_tolerance(args),
-        seed=args.seed,
-        output_format=args.output or _DEFAULT_OUTPUT["verify"],
-    )
+    config = RunConfig(curvature_c=args.curvature, seed=args.seed)
     names = SUITES if args.suite == "all" else tuple(s for s in args.suite.split(",") if s)
     return verify_suites(config, names)
 

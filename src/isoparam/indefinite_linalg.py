@@ -251,15 +251,18 @@ def classify_jordan(
     raise last_error
 
 
-def _cluster_reals(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
-    """Merge sorted real values into (center, count) clusters."""
-    clusters: list[list[float]] = []
-    for v in np.sort(values):
-        if clusters and abs(v - np.mean(clusters[-1])) <= tol:
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    return [(float(np.mean(cl)), len(cl)) for cl in clusters]
+def cluster(values, tol) -> list[slice]:
+    """Split a monotone sequence into runs of nearby values.
+
+    A run ends wherever two consecutive values differ by more than tol, a
+    scalar or one tolerance per gap (len(values) - 1 entries).  Returns the
+    runs as slices into values, in order; empty input gives no runs.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        return []
+    cuts = (np.flatnonzero(np.abs(np.diff(values)) > tol) + 1).tolist()
+    return [slice(a, b) for a, b in zip([0] + cuts, cuts + [values.size])]
 
 
 def _split_spectrum(w: np.ndarray, merge_tol: float):
@@ -276,8 +279,10 @@ def _split_spectrum(w: np.ndarray, merge_tol: float):
         if abs(v1 - np.conj(v2)) > 2 * merge_tol * (1 + abs(v1)):
             raise NondiagnosableOperator("non-conjugate complex eigenvalues")
         complex_pair = (float(vals.real.mean()), float(np.abs(vals.imag).mean()))
-    reals = w[~im_big].real
-    return complex_pair, _cluster_reals(reals, merge_tol)
+    reals = np.sort(w[~im_big].real)
+    return complex_pair, [
+        (float(reals[s].mean()), s.stop - s.start) for s in cluster(reals, merge_tol)
+    ]
 
 
 def _rank(mat: np.ndarray, threshold: float) -> int:

@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, VectorNotInSubspace
+from .indefinite_linalg import cluster
 
 ANGLE_TOL = 1e-7  # clustering tolerance for angles, radians
 BASIS_TOL = 1e-10
@@ -75,7 +76,8 @@ class RealSubspace:
         if basis.shape[0] > 2 * self.ambient_cdim:
             raise DimensionMismatch("more basis vectors than ambient dimensions")
         k = basis.shape[0]
-        if k and np.abs(basis @ basis.T - np.eye(k)).max() > BASIS_TOL:
+        # written as "not <=" so that a NaN or infinite entry fails too
+        if k and not np.abs(basis @ basis.T - np.eye(k)).max() <= BASIS_TOL:
             raise ValueError("basis rows are not orthonormal")
         object.__setattr__(self, "basis", basis)
 
@@ -175,23 +177,16 @@ def kahler_profile(W: RealSubspace, angle_tol: float = ANGLE_TOL):
     M = 0.5 * (M + M.T)
     evals, evecs = np.linalg.eigh(M)  # ascending: angles descending
     vectors = (B.T @ evecs).T
-    angles = [_angle_from_sq(ev) for ev in evals]
-    # group indices by angle
-    groups: list[list[int]] = []
-    for i, ang in enumerate(angles):
-        if groups and abs(ang - angles[groups[-1][0]]) <= angle_tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
+    angles = np.array([_angle_from_sq(ev) for ev in evals])
     entries = []
     decomposition = []
-    for g in groups:
-        ang = float(np.mean([angles[i] for i in g]))
+    for g in cluster(angles, angle_tol):
+        ang = float(angles[g].mean())
         if abs(ang) <= angle_tol:
             ang = 0.0
         if abs(ang - np.pi / 2) <= angle_tol:
             ang = float(np.pi / 2)
-        entries.append((ang, len(g)))
+        entries.append((ang, g.stop - g.start))
         decomposition.append((ang, vectors[g]))
     return KahlerProfile(tuple(entries)), vectors, decomposition
 

@@ -30,7 +30,7 @@ from .errors import (
     InvalidK,
     NotNormal,
 )
-from .indefinite_linalg import SelfAdjointOperator, euclidean_form
+from .indefinite_linalg import SelfAdjointOperator, cluster, euclidean_form
 from .kahler_angle import complex_structure
 from .solvable_model import ANVector, SubmanifoldW, _galpha_flat
 
@@ -83,18 +83,22 @@ class TubeSpectrum:
         )
 
 
+def _merged_entries(values: np.ndarray, mults: np.ndarray, tol: float = CLUSTER_TOL):
+    """TubeSpectrum entries of ascending values with multiplicities.
+
+    Neighbours a, b name one curvature when |a - b| <= tol (1 + max(|a|, |b|));
+    its value is the mean of its run and its multiplicity their sum.
+    """
+    mags = np.abs(values)
+    runs = cluster(values, tol * (1.0 + np.maximum(mags[:-1], mags[1:])))
+    sums = [int(mults[run].sum()) for run in runs]
+    return tuple((float(values[run].mean()), m, m) for run, m in zip(runs, sums))
+
+
 def spectrum_from_values(values, tol: float = CLUSTER_TOL, **kw) -> TubeSpectrum:
     """Cluster raw curvature values into a TubeSpectrum."""
     values = np.sort(np.asarray(values, dtype=float))
-    scale = 1.0 + (np.abs(values).max() if values.size else 0.0)
-    groups: list[list[float]] = []
-    for v in values:
-        if groups and abs(v - np.mean(groups[-1])) <= tol * scale:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    entries = tuple((float(np.mean(g)), len(g), len(g)) for g in groups)
-    return TubeSpectrum(entries, **kw)
+    return TubeSpectrum(_merged_entries(values, np.ones(values.size), tol), **kw)
 
 
 @dataclass(frozen=True)
@@ -105,8 +109,8 @@ class TubeSpec:
     r: float
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise FocalRadius("tube radius must be positive")
+        if not 0 < self.r < np.inf:  # also rejects NaN
+            raise FocalRadius("tube radius must be positive and finite")
 
     @property
     def n(self) -> int:
@@ -302,17 +306,8 @@ def standard_spectrum(example: str, n: int, r: float = None, c: float = -4.0, k:
     else:
         raise InvalidK(f"unknown example {example!r}")
     # merge coincident values (tube-rhn at r = log(2+sqrt(3))/sqrt(-c))
-    raw = [(v, m) for v, m in raw if m > 0]
-    merged: dict[float, int] = {}
-    for v, m in sorted(raw):
-        for key in merged:
-            if abs(key - v) <= CLUSTER_TOL * (1 + abs(v)):
-                merged[key] += m
-                break
-        else:
-            merged[float(v)] = m
-    entries = tuple((v, m, m) for v, m in merged.items())
-    return TubeSpectrum(entries, hopf_value=float(hopf))
+    values, mults = np.array(sorted((v, m) for v, m in raw if m > 0)).T
+    return TubeSpectrum(_merged_entries(values, mults), hopf_value=float(hopf))
 
 
 def lohnherr_spectrum(n: int, c: float = -4.0) -> TubeSpectrum:

@@ -24,17 +24,11 @@ SUITES = ("cartan", "jordan", "tube", "kahler", "group", "lift")
 @dataclass
 class RunConfig:
     curvature_c: float = -4.0
-    tol: float = 1e-9
     seed: int = 0
-    output_format: str = "json"
 
     def __post_init__(self):
         if self.curvature_c >= 0:
             raise ValueError("curvature must be negative")
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.output_format not in ("json", "csv", "table"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
 
 
 @dataclass

@@ -206,6 +206,14 @@ class TestClassify:
         with pytest.raises(WNotProper):
             classify(3, c=C, w=w, r=1.0)
 
+    @pytest.mark.parametrize("r", [float("nan"), float("inf")])
+    def test_rejects_non_finite_radius(self, r):
+        w = random_subspace(2, 1, seed=3)
+        with pytest.raises(ValueError):
+            classify(3, c=C, w=w, r=r)
+        with pytest.raises(ValueError):
+            classify(3, c=C, family="tube-rhn", r=r)
+
 
 class TestEnumerateProfiles:
     def test_n2_trivial_cases(self):

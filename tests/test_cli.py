@@ -268,6 +268,36 @@ class TestDeterminismAndErrors:
         validate("error", payload)
         assert payload["error"]["type"] == "FocalRadius"
 
+    @pytest.mark.parametrize("radius", ["nan", "inf"])
+    def test_classify_rejects_non_finite_radius(self, capsys, line_in_c2, radius):
+        code, out = run_cli(
+            capsys, "classify", "--subspace", line_in_c2, "--n", "3",
+            "--radius", radius, "--output", "json",
+        )
+        assert code == EXIT_VALIDATION
+        payload = json.loads(out)
+        validate("error", payload)
+        assert payload["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--example", "horosphere", "--n", "3"],
+            ["classify", "--example", "horosphere", "--n", "3"],
+            ["moduli", "--n", "4", "--k", "3"],
+            ["verify", "--suite", "cartan"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_tol_only_where_read(self, capsys, argv):
+        # --tol is accepted by lift and horocycle, the commands that read it
+        assert run_cli(capsys, *argv)[0] == EXIT_OK
+        code, out = run_cli(capsys, *argv, "--tol", "1e-6")
+        assert code == EXIT_USAGE
+        validate("error", json.loads(out))
+        lift = ["lift", "--example", "horosphere", "--n", "3", "--tol", "1e-6"]
+        assert run_cli(capsys, *lift)[0] == EXIT_OK
+
     def test_validation_failure(self, capsys):
         code, out = run_cli(
             capsys, "spectrum", "--example", "tube-chk", "--n", "3", "--k", "9",

@@ -243,3 +243,15 @@ class TestRoundTrip:
             assert cls.jtype == "III"
             lam = np.sqrt(-C) / 2 * np.tanh(np.sqrt(-C) / 2 * spec.r)
             assert abs(cls.defective_eig - lam) < 1e-8
+
+
+@pytest.mark.parametrize("r", [1e-4, 1e-5, 1e-6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_rhn_round_trip_at_small_radius(n, r):
+    # lambda_1 ~ r and the Hopf value ~ 4r stay apart although mu ~ 1/r
+    # dominates the spectrum: the clustering tolerance is relative to the
+    # two values it compares, not to the largest one
+    spec = standard_spectrum("tube-rhn", n, r=r, c=C)
+    cls = classify_lift(hopf_lift_data(spec, C))
+    assert cls.jtype == "IV"
+    assert spec.matches(project_spectrum(cls, C), tol=1e-8)

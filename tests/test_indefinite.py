@@ -15,6 +15,7 @@ from isoparam import (
     is_self_adjoint,
     minkowski_form,
 )
+from isoparam.indefinite_linalg import cluster
 
 
 def random_self_adjoint(rng, form, scale=1.0):
@@ -228,3 +229,62 @@ class TestClassificationInvariants:
         op = SelfAdjointOperator(minkowski_form(3), np.diag([1.0, 2.0, 3.0]))
         with pytest.raises(NondiagnosableOperator):
             classify_jordan(op, tol=10.0)
+
+
+class TestCluster:
+    @staticmethod
+    def runs(values, tol):
+        return [(s.start, s.stop) for s in cluster(values, tol)]
+
+    def test_ascending(self):
+        values = [0.0, 1e-9, 2e-9, 1.0, 1.0 + 5e-9, 3.0]
+        assert self.runs(values, 1e-8) == [(0, 3), (3, 5), (5, 6)]
+
+    def test_descending(self):
+        values = [3.0, 1.0 + 5e-9, 1.0, 2e-9, 1e-9, 0.0]
+        assert self.runs(values, 1e-8) == [(0, 1), (1, 3), (3, 6)]
+
+    def test_empty(self):
+        assert cluster([], 1e-8) == []
+        assert cluster(np.zeros(0), np.zeros(0)) == []
+
+    def test_single_value(self):
+        assert self.runs([2.5], 1e-8) == [(0, 1)]
+        assert self.runs([2.5], np.zeros(0)) == [(0, 1)]
+
+    def test_gap_equal_to_tol_merges(self):
+        assert self.runs([0.0, 0.5, 1.0], 0.5) == [(0, 3)]
+
+    def test_per_gap_tolerance(self):
+        # the same gap of 0.1 merges where its tolerance allows it only
+        values = np.array([0.0, 0.1, 0.2, 0.3])
+        assert self.runs(values, np.array([0.2, 0.05, 0.2])) == [(0, 2), (2, 4)]
+        assert self.runs(values, np.array([0.05, 0.2, 0.05])) == [(0, 1), (1, 3), (3, 4)]
+
+    def test_slices_index_the_input(self):
+        values = np.array([1.0, 1.0, 4.0, 4.0, 4.0])
+        means = [values[s].mean() for s in cluster(values, 1e-12)]
+        assert means == [1.0, 4.0]
+
+    def test_matches_running_mean_loop_on_separated_clusters(self):
+        # the merge loop cluster replaced, kept as the reference: on runs
+        # narrower than tol and gaps wider than 2 tol both group alike, and
+        # the mean of a slice is the mean of the same floats in the same order
+        def running_mean_loop(values, tol):
+            clusters = []
+            for v in values:
+                if clusters and abs(v - np.mean(clusters[-1])) <= tol:
+                    clusters[-1].append(v)
+                else:
+                    clusters.append([v])
+            return [(float(np.mean(cl)), len(cl)) for cl in clusters]
+
+        rng = np.random.default_rng(3)
+        tol = 1e-7
+        for _ in range(200):
+            centers = np.cumsum(rng.uniform(3 * tol, 1.0, size=rng.integers(1, 6)))
+            values = np.sort(np.concatenate(
+                [c + rng.uniform(0, 0.9 * tol, size=rng.integers(1, 5)) for c in centers]
+            ))
+            got = [(float(values[s].mean()), s.stop - s.start) for s in cluster(values, tol)]
+            assert got == running_mean_loop(values, tol)

@@ -261,6 +261,11 @@ class TestInvariants:
         with pytest.raises(ValueError):
             KahlerProfile(((0.3, 1),))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_subspace_rejects_non_finite_basis(self, bad):
+        with pytest.raises(ValueError):
+            RealSubspace(2, [[bad, 0.0, 0.0, 0.0]])
+
 
 class TestBlockConstruction:
     def test_witness_profiles(self):

@@ -204,6 +204,14 @@ class TestMeanCurvature:
             tube_mean_curvature(3, 2, 0.0, C)
 
 
+class TestTubeSpec:
+    @pytest.mark.parametrize("r", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_radius_outside_open_half_line(self, r):
+        W = build_w(random_subspace(2, 2, seed=5), 3, C)
+        with pytest.raises(FocalRadius):
+            TubeSpec(W, r)
+
+
 class TestStandardSpectra:
     def test_tube_chk_example(self):
         spec = standard_spectrum("tube-chk", 3, r=1.0, c=C, k=1)
