@@ -244,7 +244,6 @@ def classify(
     w: Optional[RealSubspace] = None,
     k: Optional[int] = None,
     angle: Optional[float] = None,
-    angle_tol: float = ANGLE_TOL,
 ) -> ClassificationReport:
     """Classify an isoparametric family into the six cases.
 
@@ -273,15 +272,15 @@ def classify(
         kk = 2 * (n - 1) - w.dim
         if kk == 0:
             raise WNotProper("w must be a proper subspace of g_alpha")
-        profile, _, _ = kahler_profile(complement(w), angle_tol=angle_tol)
-        return _classify_profile(profile, n, kk, c, r, angle_tol)
+        profile, _, _ = kahler_profile(complement(w))
+        return _classify_profile(profile, n, kk, c, r)
 
     if k is not None and angle is not None:
-        _check_parity(k, angle, angle_tol)
+        _check_parity(k, angle)
         if not 1 <= k <= 2 * (n - 1) - 1:
             raise InvalidK(f"need 1 <= k <= 2n-3, got k={k}")
         profile = KahlerProfile(((float(angle), k),))
-        return _classify_profile(profile, n, k, c, r, angle_tol)
+        return _classify_profile(profile, n, k, c, r)
 
     raise ValueError("supply a family name, a subspace w, or (k, angle)")
 
@@ -303,26 +302,21 @@ def _classify_family(family: str, n: int, k: Optional[int]):
     raise InvalidK(f"unknown family {family!r}")
 
 
-def _check_parity(k: int, angle: float, angle_tol: float):
-    if k % 2 and angle < np.pi / 2 - angle_tol:
+def _check_parity(k: int, angle: float):
+    if k % 2 and angle < np.pi / 2 - ANGLE_TOL:
         raise ParityViolation(
             f"constant angle {angle:.6g} below pi/2 requires even k, got k={k}"
         )
 
 
 def _classify_profile(
-    profile: KahlerProfile,
-    n: int,
-    k: int,
-    c: float,
-    r: Optional[float],
-    angle_tol: float,
+    profile: KahlerProfile, n: int, k: int, c: float, r: Optional[float]
 ) -> ClassificationReport:
     angles = [a for a, _ in profile.entries]
     constant = len(profile.entries) == 1
     phi = angles[0] if constant else None
 
-    if constant and phi <= angle_tol:
+    if constant and phi <= ANGLE_TOL:
         case = "i"
         phi = 0.0
         k = n - k // 2  # complex dimension of the totally geodesic core
@@ -330,7 +324,7 @@ def _classify_profile(
         case = "iv"
         phi = float(np.pi / 2)
     elif constant:
-        _check_parity(k, phi, angle_tol)
+        _check_parity(k, phi)
         case = "v"
     else:
         case = "vi"

@@ -86,7 +86,7 @@ class LiftedShapeData:
             raise ValueError("curvature c must be negative")
         if len(b) != self.spectrum_down.dim:
             raise DimensionMismatch("b length does not match the spectrum dimension")
-        if abs(np.linalg.norm(b) - 1.0) > 1e-8:
+        if not abs(np.linalg.norm(b) - 1.0) <= 1e-8:  # also rejects NaN
             raise ValueError("b must be a unit vector")
         object.__setattr__(self, "b", b)
 
@@ -136,9 +136,9 @@ def lift_shape_operator(data: LiftedShapeData) -> SelfAdjointOperator:
     return SelfAdjointOperator(LorentzForm(m + 1, gram), M)
 
 
-def classify_lift(data: LiftedShapeData, tol: float = 1e-8) -> JordanClassification:
+def classify_lift(data: LiftedShapeData) -> JordanClassification:
     """Lift the spectrum and classify the resulting Lorentzian operator."""
-    return classify_jordan(lift_shape_operator(data), tol=tol)
+    return classify_jordan(lift_shape_operator(data))
 
 
 def project_spectrum(cls: JordanClassification, c: float) -> TubeSpectrum:

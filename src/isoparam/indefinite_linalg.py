@@ -24,7 +24,8 @@ from .errors import DimensionMismatch, NondiagnosableOperator
 
 DEFAULT_TOL = 1e-8
 SELF_ADJOINT_TOL = 1e-10
-BASIS_GRAM_TOL = 1e-9
+MERGE_TOL = 1e-7  # first rung of the eigenvalue merge ladder, times 1 + max|A|
+JORDAN_TOL = 1e-4  # last rung of the ladder, times 1 + max|A|
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -48,7 +49,8 @@ class ScalarProduct:
         scale = 1 + np.abs(gram).max()
         if not np.allclose(gram, gram.T, atol=1e-12 * scale):
             raise ValueError("gram matrix must be symmetric")
-        if np.linalg.svd(gram, compute_uv=False)[-1] <= 1e-12 * scale:
+        # the singular values of a symmetric matrix are its |eigenvalues|
+        if np.abs(np.linalg.eigvalsh(gram)).min() <= 1e-12 * scale:
             raise ValueError("gram matrix is degenerate")
         object.__setattr__(self, "gram", gram)
 
@@ -204,51 +206,46 @@ class JordanClassification:
 # classification
 
 
-def classify_jordan(
-    op: SelfAdjointOperator,
-    tol: float = DEFAULT_TOL,
-    cluster_tol: Optional[float] = None,
-    jordan_tol: Optional[float] = None,
-) -> JordanClassification:
+def classify_jordan(op: SelfAdjointOperator, tol: float = DEFAULT_TOL) -> JordanClassification:
     """Classify a Lorentz-self-adjoint operator into its canonical type.
 
     Eigenvalues come from the plain unsymmetric eigenproblem and are merged
-    at cluster_tol, default 1e-7 * (1 + max|A|).  Geometric multiplicity of
-    lambda is dim - rank(A - lambda I), counting singular values above
-    tol * (1 + max|A|).  If the first pass matches no canonical shape the
-    eigenvalues are re-merged at a ladder of coarser scales up to
-    jordan_tol, default 1e-4 * (1 + max|A|): a numerically assembled 3x3
-    Jordan block splits its eigenvalue at the cube root of the backward
-    error, far beyond any first-pass tolerance, and the rank tests then
-    settle the structure.  The ladder keeps nearby distinct eigenvalues
-    apart as long as their gap exceeds the noise floor of the splitting.
+    at MERGE_TOL * (1 + max|A|).  The kernel of A - lambda I is spanned by
+    the right singular vectors whose singular values are at or below
+    tol * (1 + max|A|); its width is the geometric multiplicity of lambda.
+    If the first pass matches no canonical shape the eigenvalues are
+    re-merged at a ladder of coarser scales, each 5 times the last, up to
+    JORDAN_TOL * (1 + max|A|): a numerically assembled 3x3 Jordan block
+    splits its eigenvalue at the cube root of the backward error, far
+    beyond any first-pass tolerance, and the kernel widths then settle the
+    structure.  The ladder keeps nearby distinct eigenvalues apart as long
+    as their gap exceeds the noise floor of the splitting.  Each distinct
+    cluster center is factored once per call; the rungs share the kernels.
 
     Raises NondiagnosableOperator when no canonical shape fits at any
     scale.
     """
     A = op.matrix
     scale = 1.0 + np.abs(A).max()
-    if cluster_tol is None:
-        cluster_tol = 1e-7 * scale
-    if jordan_tol is None:
-        jordan_tol = 1e-4 * scale
+    jordan_tol = JORDAN_TOL * scale
     rank_threshold = tol * scale
 
     w = np.linalg.eig(A)[0]
 
-    ladder = [cluster_tol]
-    step = cluster_tol
-    while step < jordan_tol:
-        step = min(5 * step, jordan_tol)
-        ladder.append(step)
+    ladder = [MERGE_TOL * scale]
+    while ladder[-1] < jordan_tol:
+        ladder.append(min(5 * ladder[-1], jordan_tol))
 
-    last_error: Optional[NondiagnosableOperator] = None
-    for merge_tol in ladder:
+    kernels: dict[float, np.ndarray] = {}
+    # the last rung raises its own error: a caught error kept in a local
+    # would form a cycle (error -> traceback -> this frame) that holds the
+    # kernels until the cyclic garbage collector runs
+    for merge_tol in ladder[:-1]:
         try:
-            return _classify_pass(op, w, merge_tol, rank_threshold)
-        except NondiagnosableOperator as exc:
-            last_error = exc
-    raise last_error
+            return _classify_pass(op, w, merge_tol, rank_threshold, kernels)
+        except NondiagnosableOperator:
+            pass
+    return _classify_pass(op, w, ladder[-1], rank_threshold, kernels)
 
 
 def cluster(values, tol) -> list[slice]:
@@ -285,9 +282,12 @@ def _split_spectrum(w: np.ndarray, merge_tol: float):
     ]
 
 
-def _rank(mat: np.ndarray, threshold: float) -> int:
-    s = np.linalg.svd(mat, compute_uv=False)
-    return int((s > threshold).sum())
+def _kernel(A: np.ndarray, value: float, threshold: float) -> np.ndarray:
+    """Orthonormal columns spanning ker(A - value I): the right singular
+    vectors whose singular values are at or below threshold."""
+    n = A.shape[0]
+    _, s, vt = np.linalg.svd(A - value * np.eye(n))
+    return vt[n - int((s <= threshold).sum()):].T
 
 
 def _eigenspace(A: np.ndarray, value: float, count: int, power: int) -> np.ndarray:
@@ -317,21 +317,22 @@ def _form_orthonormalize(G: np.ndarray, basis: np.ndarray):
     return cols[:, order], signs[order]
 
 
-def _kernel_complement(A, G, value, geo, chain_null, chain_unit):
-    """Directions of ker(A - value I) G-orthogonal to a semi-null chain.
+def _kernel_complement(K, G, chain_null, chain_unit):
+    """Directions of the kernel K (columns) G-orthogonal to a semi-null chain.
 
     chain_null is the null kernel vector of the chain (b2 or e1), chain_unit
     its semi-null partner (b1 or e2, with <chain_null, chain_unit> = 1).
-    Returns geo - 1 spacelike columns.
+    Returns K.shape[1] - 1 spacelike columns.
     """
-    K = _eigenspace(A, value, geo, 1)
     pair = float(chain_null @ G @ chain_unit)
     K = K - np.outer(chain_null, (chain_unit @ G @ K) / pair)
-    q, s, _ = np.linalg.svd(K, full_matrices=False)
-    return q[:, : geo - 1]
+    q, _, _ = np.linalg.svd(K, full_matrices=False)
+    return q[:, : K.shape[1] - 1]
 
 
-def _classify_pass(op: SelfAdjointOperator, w, merge_tol, rank_threshold):
+def _classify_pass(op: SelfAdjointOperator, w, merge_tol, rank_threshold, kernels):
+    """One rung of the ladder.  kernels maps each cluster center already
+    factored in this classify_jordan call to its kernel; new ones are added."""
     A = op.matrix
     G = op.form.gram
     n = op.dim
@@ -341,7 +342,9 @@ def _classify_pass(op: SelfAdjointOperator, w, merge_tol, rank_threshold):
     eigs: list[tuple[float, int, int]] = []
     defects: list[tuple[float, int, int]] = []
     for center, alg in real_clusters:
-        geo = n - _rank(A - center * np.eye(n), rank_threshold)
+        if center not in kernels:
+            kernels[center] = _kernel(A, center, rank_threshold)
+        geo = kernels[center].shape[1]
         if geo < 1 or geo > alg:
             raise NondiagnosableOperator(
                 f"inconsistent multiplicities at {center:.6g}: alg={alg}, geo={geo}"
@@ -367,7 +370,7 @@ def _classify_pass(op: SelfAdjointOperator, w, merge_tol, rank_threshold):
     if total != n:
         raise NondiagnosableOperator(f"multiplicities sum to {total}, expected {n}")
 
-    basis, epsilon, diag = _adapted_basis(A, G, n, jtype, eigs, complex_pair)
+    basis, epsilon, diag = _adapted_basis(A, G, n, jtype, eigs, complex_pair, kernels)
 
     cls = JordanClassification(
         jtype=jtype,
@@ -388,7 +391,7 @@ def _classify_pass(op: SelfAdjointOperator, w, merge_tol, rank_threshold):
     return cls
 
 
-def _adapted_basis(A, G, n, jtype, eigs, complex_pair):
+def _adapted_basis(A, G, n, jtype, eigs, complex_pair, kernels):
     cols: list[np.ndarray] = []
     diag: list[float] = []
     epsilon = None
@@ -431,7 +434,7 @@ def _adapted_basis(A, G, n, jtype, eigs, complex_pair):
         b2 = z / (epsilon * beta)
         cols.extend([b1, b2])
         if geo > 1:
-            K = _kernel_complement(A, G, lam, geo, b2, b1)
+            K = _kernel_complement(kernels[lam], G, b2, b1)
             Kcols, signs = _form_orthonormalize(G, K)
             if (signs < 0).any():
                 raise NondiagnosableOperator("type II kernel complement is not spacelike")
@@ -459,7 +462,7 @@ def _adapted_basis(A, G, n, jtype, eigs, complex_pair):
         e1 = Nfull @ e3
         cols.extend([e1, e2, e3])
         if geo > 1:
-            K = _kernel_complement(A, G, lam, geo, e1, e2)
+            K = _kernel_complement(kernels[lam], G, e1, e2)
             Kcols, signs = _form_orthonormalize(G, K)
             if (signs < 0).any():
                 raise NondiagnosableOperator("type III kernel complement is not spacelike")
@@ -470,8 +473,7 @@ def _adapted_basis(A, G, n, jtype, eigs, complex_pair):
     timelike_used = jtype != "I"
     blocks = []
     for value, alg, geo in clean:
-        V = _eigenspace(A, value, alg, 1)
-        Vcols, signs = _form_orthonormalize(G, V)
+        Vcols, signs = _form_orthonormalize(G, kernels[value])
         has_neg = bool((signs < 0).any())
         if has_neg:
             if timelike_used or (signs < 0).sum() > 1:

@@ -24,6 +24,7 @@ from .indefinite_linalg import cluster
 
 ANGLE_TOL = 1e-7  # clustering tolerance for angles, radians
 BASIS_TOL = 1e-10
+RANK_TOL = 1e-9  # singular value cut of _orth_rows
 
 
 def complex_structure(m: int) -> np.ndarray:
@@ -35,14 +36,14 @@ def complex_structure(m: int) -> np.ndarray:
     return J
 
 
-def _orth_rows(V: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _orth_rows(V: np.ndarray) -> np.ndarray:
     """Orthonormal row basis of the row span; absolute singular value cut
     (inputs are unit scale)."""
     V = np.atleast_2d(np.asarray(V, dtype=float))
     if V.shape[0] == 0:
         return V
     q, s, _ = np.linalg.svd(V.T, full_matrices=False)
-    rank = int((s > tol).sum())
+    rank = int((s > RANK_TOL).sum())
     return q[:, :rank].T
 
 
@@ -89,9 +90,9 @@ class RealSubspace:
         """Orthogonal projection onto the subspace."""
         return self.basis.T @ (self.basis @ v)
 
-    def contains(self, v: np.ndarray, tol: float = BASIS_TOL) -> bool:
+    def contains(self, v: np.ndarray) -> bool:
         v = np.asarray(v, dtype=float)
-        return bool(np.linalg.norm(v - self.project(v)) <= tol * max(1.0, np.linalg.norm(v)))
+        return bool(np.linalg.norm(v - self.project(v)) <= BASIS_TOL * max(1.0, np.linalg.norm(v)))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -134,8 +135,8 @@ class KahlerProfile:
             for (a_s, ms), (a_o, mo) in zip(self.entries, other.entries)
         )
 
-    def nonzero_entries(self, angle_tol: float = ANGLE_TOL) -> tuple[tuple[float, int], ...]:
-        return tuple((a, m) for a, m in self.entries if a > angle_tol)
+    def nonzero_entries(self) -> tuple[tuple[float, int], ...]:
+        return tuple((a, m) for a, m in self.entries if a > ANGLE_TOL)
 
 
 def _angle_from_sq(cos_sq: float) -> float:
@@ -159,7 +160,7 @@ def pf_split(W: RealSubspace, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return F, jxi - F
 
 
-def kahler_profile(W: RealSubspace, angle_tol: float = ANGLE_TOL):
+def kahler_profile(W: RealSubspace):
     """Principal Kahler angles, vectors, and constant-angle decomposition.
 
     Returns (profile, principal_vectors, decomposition): principal_vectors
@@ -180,11 +181,11 @@ def kahler_profile(W: RealSubspace, angle_tol: float = ANGLE_TOL):
     angles = np.array([_angle_from_sq(ev) for ev in evals])
     entries = []
     decomposition = []
-    for g in cluster(angles, angle_tol):
+    for g in cluster(angles, ANGLE_TOL):
         ang = float(angles[g].mean())
-        if abs(ang) <= angle_tol:
+        if abs(ang) <= ANGLE_TOL:
             ang = 0.0
-        if abs(ang - np.pi / 2) <= angle_tol:
+        if abs(ang - np.pi / 2) <= ANGLE_TOL:
             ang = float(np.pi / 2)
         entries.append((ang, g.stop - g.start))
         decomposition.append((ang, vectors[g]))
@@ -201,18 +202,18 @@ def congruence_invariant(w: RealSubspace) -> KahlerProfile:
     return profile
 
 
-def congruent(w1: RealSubspace, w2: RealSubspace, angle_tol: float = ANGLE_TOL) -> bool:
+def congruent(w1: RealSubspace, w2: RealSubspace) -> bool:
     """Whether two subspaces are unitarily congruent."""
     if w1.ambient_cdim != w2.ambient_cdim:
         return False
-    return congruence_invariant(w1).matches(congruence_invariant(w2), angle_tol)
+    return congruence_invariant(w1).matches(congruence_invariant(w2))
 
 
-def has_constant_angle(W: RealSubspace, tol: float = ANGLE_TOL) -> Optional[float]:
+def has_constant_angle(W: RealSubspace) -> Optional[float]:
     """The common Kahler angle when the profile has a single entry, else None."""
     if W.dim == 0:
         return None
-    profile, _, _ = kahler_profile(W, angle_tol=tol)
+    profile, _, _ = kahler_profile(W)
     if len(profile.entries) == 1:
         return profile.entries[0][0]
     return None

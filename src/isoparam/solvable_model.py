@@ -43,6 +43,8 @@ import numpy as np
 from .errors import DimensionMismatch, NotNormal, NotTangent, WNotProper
 from .kahler_angle import RealSubspace, _complement_rows, _orth_rows, complex_structure
 
+NORMAL_TOL = 1e-9  # tangency and normality residual at the base point
+
 
 @dataclass(frozen=True)
 class ANVector:
@@ -370,9 +372,7 @@ def _zp_coupling(Wspec: SubmanifoldW) -> np.ndarray:
     return -0.5 * np.sqrt(-Wspec.c) * (Wspec.p_perp_basis @ J.T) @ Wspec.w_perp_basis.T
 
 
-def second_fundamental_form(
-    Wspec: SubmanifoldW, X: ANVector, Y: ANVector, tol: float = 1e-9
-) -> ANVector:
+def second_fundamental_form(Wspec: SubmanifoldW, X: ANVector, Y: ANVector) -> ANVector:
     """Second fundamental form of W_w at the base point.
 
     The only nonzero products pair the Z direction with P w_perp:
@@ -384,7 +384,7 @@ def second_fundamental_form(
     for V in (X, Y):
         if V.n != Wspec.n or V.c != Wspec.c:
             raise DimensionMismatch("vector does not match the submanifold data")
-        if _tangent_residual(Wspec, V) > tol * max(1.0, an_norm(V)):
+        if _tangent_residual(Wspec, V) > NORMAL_TOL * max(1.0, an_norm(V)):
             raise NotTangent("argument is not tangent to W_w at o")
     P = Wspec.p_perp_basis
     coef = (X.x * (P @ _galpha_flat(Y)) + Y.x * (P @ _galpha_flat(X))) @ _zp_coupling(Wspec)
@@ -393,7 +393,7 @@ def second_fundamental_form(
     return ANVector.from_flat(out, Wspec.c)
 
 
-def shape_operator(Wspec: SubmanifoldW, xi: ANVector, tol: float = 1e-9) -> np.ndarray:
+def shape_operator(Wspec: SubmanifoldW, xi: ANVector) -> np.ndarray:
     """Matrix of the shape operator of W_w in the tangent_frame() basis.
 
     <A_xi X, Y> = <II(X, Y), xi>.  Only the Z row and column are filled, off
@@ -402,9 +402,9 @@ def shape_operator(Wspec: SubmanifoldW, xi: ANVector, tol: float = 1e-9) -> np.n
     if xi.n != Wspec.n or xi.c != Wspec.c:
         raise DimensionMismatch("normal vector does not match the submanifold data")
     v = _galpha_flat(xi)
-    if Wspec.k == 0 or np.linalg.norm(
-        v - Wspec.w_perp_basis.T @ (Wspec.w_perp_basis @ v)
-    ) > tol * max(1.0, an_norm(xi)) or abs(xi.a) > tol or abs(xi.x) > tol:
+    res = np.linalg.norm(v - Wspec.w_perp_basis.T @ (Wspec.w_perp_basis @ v))
+    if (Wspec.k == 0 or res > NORMAL_TOL * max(1.0, an_norm(xi))
+            or abs(xi.a) > NORMAL_TOL or abs(xi.x) > NORMAL_TOL):
         raise NotNormal("xi is not normal to W_w at o")
     coef = _zp_coupling(Wspec) @ (Wspec.w_perp_basis @ v)
     d = Wspec.tangent_dim
@@ -474,7 +474,7 @@ def horocycle_point(p: ANPoint, U: ANVector, t: float) -> ANPoint:
     return ANPoint(ANVector.from_flat(_product(p.coords.flat(), t * U.flat(), p.c), p.c))
 
 
-def contains_point(p: ANPoint, Wspec: SubmanifoldW, tol: float = 1e-9) -> bool:
+def contains_point(p: ANPoint, Wspec: SubmanifoldW, tol: float = NORMAL_TOL) -> bool:
     """Membership of p in W_w: the coordinates have no w_perp component.
 
     W_w is the orbit of the simply connected solvable group S_w, so it is

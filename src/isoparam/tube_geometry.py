@@ -32,7 +32,7 @@ from .errors import (
 )
 from .indefinite_linalg import SelfAdjointOperator, cluster, euclidean_form
 from .kahler_angle import complex_structure
-from .solvable_model import ANVector, SubmanifoldW, _galpha_flat
+from .solvable_model import NORMAL_TOL, ANVector, SubmanifoldW, _galpha_flat
 
 CLUSTER_TOL = 1e-7
 
@@ -83,22 +83,23 @@ class TubeSpectrum:
         )
 
 
-def _merged_entries(values: np.ndarray, mults: np.ndarray, tol: float = CLUSTER_TOL):
+def _merged_entries(values: np.ndarray, mults: np.ndarray):
     """TubeSpectrum entries of ascending values with multiplicities.
 
-    Neighbours a, b name one curvature when |a - b| <= tol (1 + max(|a|, |b|));
-    its value is the mean of its run and its multiplicity their sum.
+    Neighbours a, b name one curvature when
+    |a - b| <= CLUSTER_TOL (1 + max(|a|, |b|)); its value is the mean of its
+    run and its multiplicity their sum.
     """
     mags = np.abs(values)
-    runs = cluster(values, tol * (1.0 + np.maximum(mags[:-1], mags[1:])))
+    runs = cluster(values, CLUSTER_TOL * (1.0 + np.maximum(mags[:-1], mags[1:])))
     sums = [int(mults[run].sum()) for run in runs]
     return tuple((float(values[run].mean()), m, m) for run, m in zip(runs, sums))
 
 
-def spectrum_from_values(values, tol: float = CLUSTER_TOL, **kw) -> TubeSpectrum:
+def spectrum_from_values(values, **kw) -> TubeSpectrum:
     """Cluster raw curvature values into a TubeSpectrum."""
     values = np.sort(np.asarray(values, dtype=float))
-    return TubeSpectrum(_merged_entries(values, np.ones(values.size), tol), **kw)
+    return TubeSpectrum(_merged_entries(values, np.ones(values.size)), **kw)
 
 
 @dataclass(frozen=True)
@@ -259,12 +260,12 @@ def tube_mean_curvature(n: int, k: int, r: float, c: float) -> float:
     """
     if n < 2 or not 1 <= k <= 2 * n - 3:
         raise InvalidCodimension(f"need n >= 2 and 1 <= k <= 2n-3, got n={n}, k={k}")
+    if not 0 <= r < np.inf:  # also rejects NaN
+        raise FocalRadius("tube radius must be nonnegative and finite")
     if r == 0:
         if k > 1:
             raise FocalRadius("r = 0 degenerates the tube to the focal submanifold")
         return 0.0
-    if r < 0:
-        raise FocalRadius("tube radius must be nonnegative")
     s0 = np.sqrt(-c) / 2
     sh, ch = np.sinh(s0 * r), np.cosh(s0 * r)
     return float(2 * s0 * (k - 1 + 2 * n * sh**2) / (2 * sh * ch))
@@ -288,16 +289,16 @@ def standard_spectrum(example: str, n: int, r: float = None, c: float = -4.0, k:
     elif example == "tube-chk":
         if k is None or not 0 <= k <= n - 1:
             raise InvalidK(f"tube-chk needs 0 <= k <= n-1, got {k}")
-        if r is None or r <= 0:
-            raise FocalRadius("tube radius must be positive")
+        if r is None or not 0 < r < np.inf:  # also rejects NaN
+            raise FocalRadius("tube radius must be positive and finite")
         lam1 = s0 * np.tanh(s0 * r)
         lam2 = s0 / np.tanh(s0 * r)
         lam3 = 2 * s0 / np.tanh(2 * s0 * r)
         raw = [(lam1, 2 * k), (lam2, 2 * (n - k - 1)), (lam3, 1)]
         hopf = lam3
     elif example == "tube-rhn":
-        if r is None or r <= 0:
-            raise FocalRadius("tube radius must be positive")
+        if r is None or not 0 < r < np.inf:  # also rejects NaN
+            raise FocalRadius("tube radius must be positive and finite")
         lam1 = s0 * np.tanh(s0 * r)
         lam2 = s0 / np.tanh(s0 * r)
         lam3 = 2 * s0 * np.tanh(2 * s0 * r)
@@ -321,12 +322,12 @@ def lohnherr_spectrum(n: int, c: float = -4.0) -> TubeSpectrum:
 # spectra of tubes around W_w
 
 
-def _check_unit_normal(Wspec: SubmanifoldW, xi: ANVector, tol: float = 1e-9):
+def _check_unit_normal(Wspec: SubmanifoldW, xi: ANVector):
     if xi.n != Wspec.n or xi.c != Wspec.c:
         raise DimensionMismatch("xi does not match the submanifold data")
     v = _galpha_flat(xi)
     res = np.linalg.norm(v - Wspec.w_perp_basis.T @ (Wspec.w_perp_basis @ v))
-    if abs(xi.a) > tol or abs(xi.x) > tol or res > tol:
+    if abs(xi.a) > NORMAL_TOL or abs(xi.x) > NORMAL_TOL or res > NORMAL_TOL:
         raise NotNormal("xi is not normal to W_w")
     if abs(np.linalg.norm(v) - 1.0) > 1e-8:
         raise NotNormal("xi is not a unit vector")

@@ -269,6 +269,18 @@ class TestDeterminismAndErrors:
         assert payload["error"]["type"] == "FocalRadius"
 
     @pytest.mark.parametrize("radius", ["nan", "inf"])
+    @pytest.mark.parametrize("example", [["tube-chk", "--k", "1"], ["tube-rhn"]])
+    def test_spectrum_rejects_non_finite_radius(self, capsys, example, radius):
+        code, out = run_cli(
+            capsys, "spectrum", "--example", *example, "--n", "3",
+            "--radius", radius, "--output", "json",
+        )
+        assert code == EXIT_VALIDATION
+        payload = json.loads(out)
+        validate("error", payload)
+        assert payload["error"]["type"] == "FocalRadius"
+
+    @pytest.mark.parametrize("radius", ["nan", "inf"])
     def test_classify_rejects_non_finite_radius(self, capsys, line_in_c2, radius):
         code, out = run_cli(
             capsys, "classify", "--subspace", line_in_c2, "--n", "3",

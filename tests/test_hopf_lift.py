@@ -124,6 +124,11 @@ class TestLiftMatrix:
         with pytest.raises(ValueError):
             LiftedShapeData(spec, np.array([1.0, 1.0, 0.0]), C)
 
+    def test_b_must_not_be_nan(self):
+        spec = standard_spectrum("horosphere", 2, c=C)
+        with pytest.raises(ValueError):
+            LiftedShapeData(spec, np.array([1.0, np.nan, 0.0]), C)
+
 
 class TestProjection:
     def test_type_ii_projection(self):
@@ -255,3 +260,56 @@ def test_rhn_round_trip_at_small_radius(n, r):
     cls = classify_lift(hopf_lift_data(spec, C))
     assert cls.jtype == "IV"
     assert spec.matches(project_spectrum(cls, C), tol=1e-8)
+
+
+def w_tube_lift(n, r, k, seed):
+    """Lift data of the tube of radius r around W_w, dim w_perp = k, at a
+    random normal direction (its Kahler angle is strictly inside (0, pi/2))."""
+    W = build_w(random_subspace(n - 1, 2 * (n - 1) - k, seed=seed), n, C)
+    v = W.w_perp_basis.T @ np.random.default_rng(seed).standard_normal(k)
+    v /= np.linalg.norm(v)
+    xi = ANVector(0.0, v[0::2] + 1j * v[1::2], 0.0, C)
+    assert 0.1 < normal_kahler_angle(W, xi) < np.pi / 2 - 0.1
+    return tube_lift_data(TubeSpec(W, r), xi)
+
+
+@pytest.mark.parametrize("n", [10, 30])
+def test_lift_types_at_benchmark_sizes(n):
+    # the sizes of the tube-sweep benchmark, where eigenvalue kernels are
+    # wide and the type II/III kernel complements have many columns
+    r, k = 0.7, n // 2
+    k_perp = 2 * n - 4
+    cases = [
+        ("tube-chk", "I", [(2 * k + 1, 2 * k + 1), (2 * (n - k) - 1, 2 * (n - k) - 1)]),
+        ("horosphere", "II", [(2 * n, 2 * n - 1)]),
+        ("tube-rhn", "IV", [(n - 1, n - 1), (n - 1, n - 1)]),
+        ("w-tube", "III", [(2 * n - k_perp + 1, 2 * n - k_perp - 1), (k_perp - 1, k_perp - 1)]),
+    ]
+    for family, jtype, mults in cases:
+        if family == "w-tube":
+            data = w_tube_lift(n, r, k_perp, seed=n)
+        else:
+            data = hopf_lift_data(standard_spectrum(family, n, r=r, c=C, k=k), C)
+        op = lift_shape_operator(data)
+        cls = classify_jordan(op)
+        assert cls.jtype == jtype
+        assert [(alg, geo) for _, alg, geo in cls.real_eigs] == mults
+        B = cls.adapted_basis
+        assert np.abs(B.T @ op.form.gram @ B - cls.canonical_gram()).max() <= 1e-9
+        assert np.abs(op.matrix @ B - B @ cls.canonical_matrix()).max() <= 1e-9
+
+
+def test_each_cluster_center_factored_once(monkeypatch):
+    # a type III lift needs several ladder rungs; the rungs share the
+    # kernel of A - lambda I for every center they have in common
+    from isoparam import indefinite_linalg as il
+
+    passes, centers = [], []
+    classify_pass, kernel = il._classify_pass, il._kernel
+    monkeypatch.setattr(il, "_classify_pass", lambda *a: passes.append(1) or classify_pass(*a))
+    monkeypatch.setattr(il, "_kernel", lambda A, v, t: centers.append(v) or kernel(A, v, t))
+    cls = classify_lift(w_tube_lift(10, 0.7, 16, seed=10))
+    assert cls.jtype == "III"
+    assert len(passes) > 1
+    assert len(centers) == len(set(centers))
+    assert set(cls.eigenvalues) <= set(centers)

@@ -203,6 +203,11 @@ class TestMeanCurvature:
         with pytest.raises(FocalRadius):
             tube_mean_curvature(3, 2, 0.0, C)
 
+    @pytest.mark.parametrize("r", [float("nan"), float("inf")])
+    def test_rejects_non_finite_radius(self, r):
+        with pytest.raises(FocalRadius):
+            tube_mean_curvature(3, 2, r, C)
+
 
 class TestTubeSpec:
     @pytest.mark.parametrize("r", [0.0, -1.0, float("nan"), float("inf")])
