@@ -35,7 +35,6 @@ from .errors import (
     WNotProper,
 )
 from .hopf_lift import (
-    AdSPoint,
     LiftedShapeData,
     ads_inner,
     classify_lift,
@@ -58,11 +57,11 @@ from .indefinite_linalg import (
 from .kahler_angle import (
     KahlerProfile,
     RealSubspace,
+    apply_J,
     complement,
     complex_structure,
     congruence_invariant,
     congruent,
-    has_constant_angle,
     kahler_profile,
     pf_split,
     random_subspace,

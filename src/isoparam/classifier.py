@@ -22,7 +22,6 @@ with constant principal curvatures.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,6 +33,7 @@ from .errors import (
     ParityViolation,
     PoleAtP,
     WNotProper,
+    check_curvature,
 )
 from .indefinite_linalg import JordanClassification, cluster
 from .kahler_angle import (
@@ -78,8 +78,9 @@ def inside_cartan_phi(x: float, p: float, c: float):
     condition: x > 0 and |x + c/(4x)| < |p + c/(4p)|.  The two always
     agree in sign.  Raises PoleAtP at x = p.
     """
-    if p <= 0 or c >= 0:
-        raise ValueError("need p > 0 and c < 0")
+    if not p > 0:  # also rejects NaN
+        raise ValueError("need p > 0")
+    check_curvature(c)
     if abs(x - p) <= 1e-14 * (1 + abs(p)):
         raise PoleAtP("phi has a pole at x = p")
     value = (c + 4 * p * x) / (p - x)
@@ -170,38 +171,25 @@ def check_type_constraints(
 # the case classifier
 
 
-CASE_NAMES = {
-    "i": "tube around a totally geodesic CH^k",
-    "ii": "tube around a totally geodesic RH^n",
-    "iii": "horosphere",
-    "iv": "Lohnherr hypersurface W^(2n-1) or an equidistant",
-    "v": "tube around a Berndt-Brueck submanifold",
-    "vi": "tube around a W_w of nonconstant Kahler angle",
-}
-
-
 @dataclass(frozen=True)
 class ClassificationReport:
     """Outcome of the case classification of an isoparametric family."""
 
     case: str  # 'i' ... 'vi'
-    homogeneous: bool
-    constant_principal_curvatures: bool
     invariant: object  # KahlerProfile or a named-family tag
     n: int
     k: Optional[int] = None
     r: Optional[float] = None
     phi: Optional[float] = None
 
-    def __post_init__(self):
-        if (self.case in HOMOGENEOUS_CASES) != self.homogeneous:
-            raise ValueError("homogeneity flag inconsistent with the case label")
-        if self.homogeneous != self.constant_principal_curvatures:
-            raise ValueError("constant principal curvatures iff homogeneous")
+    @property
+    def homogeneous(self) -> bool:
+        return self.case in HOMOGENEOUS_CASES
 
     @property
-    def case_name(self) -> str:
-        return CASE_NAMES[self.case]
+    def constant_principal_curvatures(self) -> bool:
+        """Cases i-v, the same as the homogeneous ones."""
+        return self.homogeneous
 
     def to_dict(self) -> dict:
         if isinstance(self.invariant, KahlerProfile):
@@ -222,9 +210,6 @@ class ClassificationReport:
         if self.phi is not None:
             out["phi"] = self.phi
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _check_radius(case: str, r: Optional[float]):
@@ -256,15 +241,12 @@ def classify(
     """
     if n < 2:
         raise InvalidK("need n >= 2")
-    if c >= 0:
-        raise ValueError("curvature c must be negative")
+    check_curvature(c)
 
     if family is not None:
         case, inv, kk, phi = _classify_family(family, n, k)
         _check_radius(case, r)
-        return ClassificationReport(
-            case, True, True, inv, n, k=kk, r=r, phi=phi
-        )
+        return ClassificationReport(case, inv, n, k=kk, r=r, phi=phi)
 
     if w is not None:
         if w.ambient_cdim != n - 1:
@@ -329,8 +311,7 @@ def _classify_profile(
     else:
         case = "vi"
     _check_radius(case, r)
-    homo = case in HOMOGENEOUS_CASES
-    return ClassificationReport(case, homo, homo, profile, n, k=k, r=r, phi=phi)
+    return ClassificationReport(case, profile, n, k=k, r=r, phi=phi)
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +333,6 @@ class ProfileFamily:
     @property
     def free_count(self) -> int:
         return sum(1 for a, _ in self.entries if a is None)
-
-    @property
-    def dim(self) -> int:
-        return sum(m for _, m in self.entries)
 
     def at(self, *angles: float) -> KahlerProfile:
         """The profile at specific values of the free parameters."""

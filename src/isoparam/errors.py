@@ -1,4 +1,6 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the curvature check."""
+
+import math
 
 
 class IsoparamError(Exception):
@@ -59,3 +61,9 @@ class ConstraintViolation(IsoparamError):
 
 class ParityViolation(IsoparamError):
     """A constant-angle subspace with angle below pi/2 must have even dimension."""
+
+
+def check_curvature(c: float):
+    """Raise ValueError unless the ambient curvature c is finite and negative."""
+    if not -math.inf < c < 0:  # also rejects NaN
+        raise ValueError(f"curvature c must be negative and finite, got {c}")

@@ -22,11 +22,10 @@ minimal submanifolds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import ConstraintViolation, DimensionMismatch
+from .errors import ConstraintViolation, DimensionMismatch, check_curvature
 from .indefinite_linalg import (
     JordanClassification,
     LorentzForm,
@@ -47,27 +46,6 @@ def ads_inner(z, w) -> float:
 
 
 @dataclass(frozen=True)
-class AdSPoint:
-    """A point of the anti-De Sitter quadric <z, z> = -radius^2."""
-
-    z: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        z = np.atleast_1d(np.asarray(self.z, dtype=complex))
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        if abs(ads_inner(z, z) + self.radius**2) > 1e-10 * (1 + self.radius**2):
-            raise ValueError("point does not lie on the quadric")
-        object.__setattr__(self, "z", z)
-
-    def vertical_field(self) -> np.ndarray:
-        """V = i sqrt(-c) z / 2 with c = -4/radius^2; a unit timelike vector."""
-        c = -4.0 / self.radius**2
-        return 1j * np.sqrt(-c) * self.z / 2
-
-
-@dataclass(frozen=True)
 class LiftedShapeData:
     """Downstairs spectrum plus Hopf coefficients b_i = <J xi, X_i>.
 
@@ -82,8 +60,7 @@ class LiftedShapeData:
 
     def __post_init__(self):
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        if self.c >= 0:
-            raise ValueError("curvature c must be negative")
+        check_curvature(self.c)
         if len(b) != self.spectrum_down.dim:
             raise DimensionMismatch("b length does not match the spectrum dimension")
         if not abs(np.linalg.norm(b) - 1.0) <= 1e-8:  # also rejects NaN

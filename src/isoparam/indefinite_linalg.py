@@ -160,10 +160,6 @@ class JordanClassification:
                 return value
         return None
 
-    @property
-    def eigenvalues(self) -> tuple[float, ...]:
-        return tuple(value for value, _, _ in self.real_eigs)
-
     def canonical_matrix(self) -> np.ndarray:
         """The type I/II/III/IV matrix realized in adapted_basis."""
         M = np.zeros((self.dim, self.dim))

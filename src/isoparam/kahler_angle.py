@@ -3,7 +3,8 @@
 A real k-dimensional subspace W of C^m is stored through an orthonormal
 real basis in R^(2m), with complex coordinate j occupying the adjacent
 slots (2j, 2j+1) as (re, im).  The complex structure J acts on each pair
-as (re, im) -> (-im, re).
+as (re, im) -> (-im, re); apply_J applies it to the last axis of an array
+of any shape, and complex_structure is its matrix.
 
 For xi in W the orthogonal split J xi = F xi + P xi (F into W, P into the
 complement) defines the Kahler angle of xi.  Diagonalizing the symmetric
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -27,13 +27,22 @@ BASIS_TOL = 1e-10
 RANK_TOL = 1e-9  # singular value cut of _orth_rows
 
 
+def apply_J(v: np.ndarray) -> np.ndarray:
+    """J applied to the last axis of v: each pair (re, im) -> (-im, re).
+
+    Bit for bit the product with complex_structure on finite input; the
+    0.0 terms turn a negative zero into +0.0, as the product does.
+    """
+    v = np.asarray(v, dtype=float)
+    out = np.empty_like(v)
+    out[..., 0::2] = 0.0 - v[..., 1::2]
+    out[..., 1::2] = v[..., 0::2] + 0.0
+    return out
+
+
 def complex_structure(m: int) -> np.ndarray:
     """Matrix of J on R^(2m) in interleaved (re, im) coordinates."""
-    J = np.zeros((2 * m, 2 * m))
-    for j in range(m):
-        J[2 * j, 2 * j + 1] = -1.0
-        J[2 * j + 1, 2 * j] = 1.0
-    return J
+    return apply_J(np.eye(2 * m)).T
 
 
 def _orth_rows(V: np.ndarray) -> np.ndarray:
@@ -122,10 +131,6 @@ class KahlerProfile:
             raise ValueError("odd multiplicity is only possible at angle pi/2")
         object.__setattr__(self, "entries", ents)
 
-    @property
-    def dim(self) -> int:
-        return sum(m for _, m in self.entries)
-
     def matches(self, other: "KahlerProfile", angle_tol: float = ANGLE_TOL) -> bool:
         """Equality of profiles: same multiplicities, angles within angle_tol."""
         if len(self.entries) != len(other.entries):
@@ -155,7 +160,7 @@ def pf_split(W: RealSubspace, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatch("vector length does not match the ambient space")
     if not W.contains(xi):
         raise VectorNotInSubspace("xi does not lie in the subspace")
-    jxi = complex_structure(W.ambient_cdim) @ xi
+    jxi = apply_J(xi)
     F = W.project(jxi)
     return F, jxi - F
 
@@ -170,10 +175,9 @@ def kahler_profile(W: RealSubspace):
     k = W.dim
     if k == 0:
         return KahlerProfile(()), np.zeros((0, 2 * W.ambient_cdim)), []
-    J = complex_structure(W.ambient_cdim)
     B = W.basis
     # K[i, j] = <b_i, J b_j>, skew; the form <F xi, F eta> is K^T K = -K^2
-    K = B @ J.T @ B.T
+    K = apply_J(B) @ B.T
     M = K.T @ K
     M = 0.5 * (M + M.T)
     evals, evecs = np.linalg.eigh(M)  # ascending: angles descending
@@ -207,16 +211,6 @@ def congruent(w1: RealSubspace, w2: RealSubspace) -> bool:
     if w1.ambient_cdim != w2.ambient_cdim:
         return False
     return congruence_invariant(w1).matches(congruence_invariant(w2))
-
-
-def has_constant_angle(W: RealSubspace) -> Optional[float]:
-    """The common Kahler angle when the profile has a single entry, else None."""
-    if W.dim == 0:
-        return None
-    profile, _, _ = kahler_profile(W)
-    if len(profile.entries) == 1:
-        return profile.entries[0][0]
-    return None
 
 
 def random_subspace(m: int, k: int, seed: int) -> RealSubspace:

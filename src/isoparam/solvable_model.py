@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotNormal, NotTangent, WNotProper
-from .kahler_angle import RealSubspace, _complement_rows, _orth_rows, complex_structure
+from .errors import DimensionMismatch, NotNormal, NotTangent, WNotProper, check_curvature
+from .kahler_angle import RealSubspace, _complement_rows, _orth_rows, apply_J, complex_structure
 
 NORMAL_TOL = 1e-9  # tangency and normality residual at the base point
 
@@ -59,8 +59,7 @@ class ANVector:
         U = np.atleast_1d(np.asarray(self.U, dtype=complex))
         if not np.isfinite(U).all() or not np.isfinite([self.a, self.x]).all():
             raise ValueError("non-finite entries")
-        if self.c >= 0:
-            raise ValueError("curvature c must be negative")
+        check_curvature(self.c)
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "x", float(self.x))
@@ -111,11 +110,6 @@ class ANVector:
             "U": [float(val) for z in self.U for val in (z.real, z.imag)],
             "x": self.x,
         }
-
-    @staticmethod
-    def from_record(record: dict, c: float) -> "ANVector":
-        u = np.asarray(record["U"], dtype=float)
-        return ANVector(float(record["a"]), u[0::2] + 1j * u[1::2], float(record["x"]), c)
 
 
 def _check_compatible(X: ANVector, Y: ANVector):
@@ -244,9 +238,6 @@ class ANPoint:
     def origin(n: int, c: float) -> "ANPoint":
         return ANPoint(ANVector.zero(n, c))
 
-    def inverse(self) -> "ANPoint":
-        return ANPoint(-self.coords)
-
 
 def _product(g: np.ndarray, h: np.ndarray, c: float) -> np.ndarray:
     """group_product on flat exponential coordinates."""
@@ -335,18 +326,17 @@ def build_w(w: RealSubspace, n: int, c: float) -> SubmanifoldW:
 
     Raises WNotProper when w is all of g_alpha.
     """
-    if c >= 0:
-        raise ValueError("curvature c must be negative")
+    check_curvature(c)
     if w.ambient_cdim != n - 1:
         raise DimensionMismatch(f"w lives in C^{w.ambient_cdim}, expected C^{n - 1}")
     m = n - 1
     if w.dim == 2 * m:
         raise WNotProper("w must be a proper subspace of g_alpha")
     w_perp = _complement_rows(w.basis, 2 * m)
-    J = complex_structure(m)
-    p_cols = np.array([w.project(J @ row) for row in w_perp])
+    j_perp = apply_J(w_perp)
+    p_cols = np.array([w.project(row) for row in j_perp])
     p_perp = _orth_rows(p_cols) if p_cols.size else np.zeros((0, 2 * m))
-    cw = _orth_rows(np.vstack([w_perp, (J @ w_perp.T).T]))
+    cw = _orth_rows(np.vstack([w_perp, j_perp]))
     c_part = _complement_rows(cw, 2 * m)
     return SubmanifoldW(n, c, w, w_perp, p_perp, c_part)
 
@@ -368,8 +358,7 @@ def _zp_coupling(Wspec: SubmanifoldW) -> np.ndarray:
     """K[e, j] = <II(Z, P_e), xi_j> = -(sqrt(-c)/2) <J P_e, xi_j> for the rows
     P_e of p_perp_basis and xi_j of w_perp_basis: in the adapted frame these
     are the only nonzero components of the second fundamental form."""
-    J = complex_structure(Wspec.n - 1)
-    return -0.5 * np.sqrt(-Wspec.c) * (Wspec.p_perp_basis @ J.T) @ Wspec.w_perp_basis.T
+    return -0.5 * np.sqrt(-Wspec.c) * apply_J(Wspec.p_perp_basis) @ Wspec.w_perp_basis.T
 
 
 def second_fundamental_form(Wspec: SubmanifoldW, X: ANVector, Y: ANVector) -> ANVector:

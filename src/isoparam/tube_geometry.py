@@ -29,9 +29,10 @@ from .errors import (
     InvalidCodimension,
     InvalidK,
     NotNormal,
+    check_curvature,
 )
 from .indefinite_linalg import SelfAdjointOperator, cluster, euclidean_form
-from .kahler_angle import complex_structure
+from .kahler_angle import apply_J
 from .solvable_model import NORMAL_TOL, ANVector, SubmanifoldW, _galpha_flat
 
 CLUSTER_TOL = 1e-7
@@ -132,8 +133,7 @@ class TubeSpec:
 
 def jacobi_scalars(nu: float, t: float, c: float):
     """(g_nu(t), g_nu'(t), h(t), h'(t)) for curvature c < 0."""
-    if c >= 0:
-        raise ValueError("curvature c must be negative")
+    check_curvature(c)
     s0 = np.sqrt(-c) / 2
     ch, sh = np.cosh(s0 * t), np.sinh(s0 * t)
     g = ch - (nu / s0) * sh
@@ -151,8 +151,7 @@ def parallel_data(r: float, t: float, c: float):
     At t = r the family collapses onto the focal submanifold: lambda_t = 0,
     mu_t = +inf (sentinel) and focal = True.
     """
-    if c >= 0:
-        raise ValueError("curvature c must be negative")
+    check_curvature(c)
     if not 0 <= t <= r:
         raise ValueError("need 0 <= t <= r")
     s0 = np.sqrt(-c) / 2
@@ -197,8 +196,9 @@ def _char_factors(n: int, k: int, r: float, phi: float, c: float):
     (lam, mu, the angle factor, power of (lam - x), power of (mu - x))."""
     if n < 2 or not 1 <= k <= 2 * n - 3:
         raise InvalidCodimension(f"need n >= 2 and 1 <= k <= 2n-3, got n={n}, k={k}")
-    if not r > 0:  # also rejects NaN
-        raise FocalRadius("tube radius must be positive")
+    if not 0 < r < np.inf:  # also rejects NaN
+        raise FocalRadius("tube radius must be positive and finite")
+    check_curvature(c)
     if not 0 <= phi <= np.pi / 2 + 1e-12:
         raise ValueError("phi must lie in [0, pi/2]")
     lam = _tube_lambda(r, c)
@@ -262,6 +262,7 @@ def tube_mean_curvature(n: int, k: int, r: float, c: float) -> float:
         raise InvalidCodimension(f"need n >= 2 and 1 <= k <= 2n-3, got n={n}, k={k}")
     if not 0 <= r < np.inf:  # also rejects NaN
         raise FocalRadius("tube radius must be nonnegative and finite")
+    check_curvature(c)
     if r == 0:
         if k > 1:
             raise FocalRadius("r = 0 degenerates the tube to the focal submanifold")
@@ -281,6 +282,7 @@ def standard_spectrum(example: str, n: int, r: float = None, c: float = -4.0, k:
     """
     if n < 2:
         raise InvalidK("need n >= 2")
+    check_curvature(c)
     s0 = np.sqrt(-c) / 2
     if example == "horosphere":
         lam1, lam2 = s0, 2 * s0
@@ -314,6 +316,7 @@ def standard_spectrum(example: str, n: int, r: float = None, c: float = -4.0, k:
 def lohnherr_spectrum(n: int, c: float = -4.0) -> TubeSpectrum:
     """Principal curvatures of the minimal ruled hypersurface W^(2n-1):
     {-sqrt(-c)/2, 0, +sqrt(-c)/2} with multiplicities {1, 2n-3, 1}."""
+    check_curvature(c)
     s0 = np.sqrt(-c) / 2
     return TubeSpectrum(((-s0, 1, 1), (0.0, 2 * n - 3, 2 * n - 3), (s0, 1, 1)))
 
@@ -336,9 +339,8 @@ def _check_unit_normal(Wspec: SubmanifoldW, xi: ANVector):
 def normal_kahler_angle(Wspec: SubmanifoldW, xi: ANVector) -> float:
     """Kahler angle of the unit normal xi with respect to w_perp."""
     _check_unit_normal(Wspec, xi)
-    m = Wspec.n - 1
     v = _galpha_flat(xi)
-    F = Wspec.w_perp_basis.T @ (Wspec.w_perp_basis @ (complex_structure(m) @ v))
+    F = Wspec.w_perp_basis.T @ (Wspec.w_perp_basis @ apply_J(v))
     return float(np.arccos(min(1.0, np.linalg.norm(F))))
 
 
@@ -377,10 +379,8 @@ def tube_operator_frame(spec: TubeSpec, xi: ANVector):
     """
     Wspec, r, c, n = spec.Wspec, spec.r, spec.c, spec.n
     _check_unit_normal(Wspec, xi)
-    m = n - 1
     d = 2 * n
     s0 = np.sqrt(-c) / 2
-    J = complex_structure(m)
 
     def emb(v: np.ndarray) -> np.ndarray:
         out = np.zeros(d)
@@ -393,7 +393,8 @@ def tube_operator_frame(spec: TubeSpec, xi: ANVector):
     Zv[-1] = 1.0
 
     xi_g = _galpha_flat(xi)
-    pxi = Wspec.w.project(J @ xi_g)  # tangential part of J xi
+    jxi_g = apply_J(xi_g)
+    pxi = Wspec.w.project(jxi_g)  # tangential part of J xi
 
     tangent_cols = [B, Zv]
     tangent_cols += [emb(row) for row in Wspec.c_part_basis]
@@ -416,7 +417,7 @@ def tube_operator_frame(spec: TubeSpec, xi: ANVector):
 
     # J xi in ambient flat coordinates: xi has no B/Z component
     jxi = np.zeros(d)
-    jxi[1:-1] = J @ xi_g
+    jxi[1:-1] = jxi_g
     u = M.T @ jxi
 
     gens = [(M.T @ T[:, i], M.T @ (-a_xi(T[:, i]))) for i in range(T.shape[1])]

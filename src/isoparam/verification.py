@@ -17,6 +17,7 @@ import numpy as np
 from . import classifier, hopf_lift, indefinite_linalg as il, kahler_angle as ka
 from . import solvable_model as sm
 from . import tube_geometry as tg
+from .errors import check_curvature
 
 SUITES = ("cartan", "jordan", "tube", "kahler", "group", "lift")
 
@@ -27,8 +28,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.curvature_c >= 0:
-            raise ValueError("curvature must be negative")
+        check_curvature(self.curvature_c)
 
 
 @dataclass
@@ -159,9 +159,8 @@ def _suite_kahler(config: RunConfig) -> SuiteResult:
         m = int(rng.integers(1, 6))
         k = int(rng.integers(1, 2 * m + 1))
         W = ka.random_subspace(m, k, int(rng.integers(2**31)))
-        J = ka.complex_structure(m)
         B = W.basis
-        K = B @ J.T @ B.T  # F in the basis coordinates
+        K = ka.apply_J(B) @ B.T  # F in the basis coordinates
         res.append(np.abs(K + K.T).max())
     _record(out.checks, "kahler_angle", "f_skew_adjoint", res, 1e-10)
 
@@ -172,12 +171,11 @@ def _suite_kahler(config: RunConfig) -> SuiteResult:
         k = int(rng.integers(1, 2 * m + 1))
         W = ka.random_subspace(m, k, int(rng.integers(2**31)))
         profile, vectors, decomposition = ka.kahler_profile(W)
-        J = ka.complex_structure(m)
         worst = 0.0
         for angle, block in decomposition:
             for xi in block:
                 F, _ = ka.pf_split(W, xi)
-                F2 = W.project(J @ F)
+                F2 = W.project(ka.apply_J(F))
                 worst = max(worst, np.abs(F2 + np.cos(angle) ** 2 * xi).max())
         res.append(worst)
     _record(out.checks, "kahler_angle", "f_squared_identity", res, 1e-9)

@@ -257,7 +257,7 @@ class TestDeterminismAndErrors:
         assert code == EXIT_NOINPUT
         validate("error", json.loads(out))
 
-    @pytest.mark.parametrize("radius", ["0", "-1"])
+    @pytest.mark.parametrize("radius", ["0", "-1", "inf"])
     def test_focal_or_negative_radius(self, capsys, line_in_c2, radius):
         code, out = run_cli(
             capsys, "spectrum", "--subspace", line_in_c2, "--n", "3",
@@ -269,7 +269,9 @@ class TestDeterminismAndErrors:
         assert payload["error"]["type"] == "FocalRadius"
 
     @pytest.mark.parametrize("radius", ["nan", "inf"])
-    @pytest.mark.parametrize("example", [["tube-chk", "--k", "1"], ["tube-rhn"]])
+    @pytest.mark.parametrize(
+        "example", [["tube-chk", "--k", "1"], ["tube-rhn"], ["lohnherr"]]
+    )
     def test_spectrum_rejects_non_finite_radius(self, capsys, example, radius):
         code, out = run_cli(
             capsys, "spectrum", "--example", *example, "--n", "3",
@@ -286,6 +288,26 @@ class TestDeterminismAndErrors:
             capsys, "classify", "--subspace", line_in_c2, "--n", "3",
             "--radius", radius, "--output", "json",
         )
+        assert code == EXIT_VALIDATION
+        payload = json.loads(out)
+        validate("error", payload)
+        assert payload["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("curvature", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--example", "tube-chk", "--n", "3", "--k", "1", "--radius", "1"],
+            ["classify", "--example", "horosphere", "--n", "3"],
+            ["lift", "--example", "horosphere", "--n", "3"],
+            ["verify", "--suite", "cartan"],
+            ["horocycle", "--n", "3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_rejects_non_finite_curvature(self, capsys, argv, curvature):
+        # glued with "=" so that argparse does not read "-inf" as an option
+        code, out = run_cli(capsys, *argv, f"--curvature={curvature}", "--output", "json")
         assert code == EXIT_VALIDATION
         payload = json.loads(out)
         validate("error", payload)

@@ -7,11 +7,11 @@ from isoparam import (
     KahlerProfile,
     RealSubspace,
     VectorNotInSubspace,
+    apply_J,
     complement,
     complex_structure,
     congruence_invariant,
     congruent,
-    has_constant_angle,
     kahler_profile,
     pf_split,
     random_subspace,
@@ -42,6 +42,38 @@ def angle_plane(phi, m=2):
     """span_R{e_1, cos(phi) i e_1 + sin(phi) i e_2}: constant angle phi."""
     b2 = np.cos(phi) * unit(m, 0, imag=True) + np.sin(phi) * unit(m, 1, imag=True)
     return RealSubspace(m, np.array([unit(m, 0), b2]))
+
+
+def j_matrix(m):
+    """Reference matrix of J, one 2x2 rotation block per complex coordinate."""
+    J = np.zeros((2 * m, 2 * m))
+    for j in range(m):
+        J[2 * j, 2 * j + 1] = -1.0
+        J[2 * j + 1, 2 * j] = 1.0
+    return J
+
+
+class TestApplyJ:
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_matches_matrix_product(self, m):
+        rng = np.random.default_rng(m)
+        J = j_matrix(m)
+        assert np.array_equal(complex_structure(m), J)
+        v = rng.standard_normal(2 * m)
+        rows = rng.standard_normal((5, 2 * m))
+        assert apply_J(v).tobytes() == (J @ v).tobytes()
+        assert apply_J(rows).tobytes() == (rows @ J.T).tobytes()
+        assert apply_J(rows[:, None, :]).shape == (5, 1, 2 * m)
+
+    def test_squares_to_minus_identity(self):
+        v = np.random.default_rng(0).standard_normal((4, 6))
+        assert np.array_equal(apply_J(apply_J(v)), -v)
+
+    def test_no_negative_zero(self):
+        for v in (np.zeros(4), -np.zeros(4), np.array([0.0, -0.0, -0.0, 0.0])):
+            out = apply_J(v)
+            assert not np.signbit(out).any()
+            assert not np.signbit(apply_J(out)).any()
 
 
 class TestPfSplit:
@@ -118,7 +150,7 @@ class TestProfile:
         assert np.allclose(F_matrix, [[0, -1, 0], [1, 0, 0], [0, 0, 0]], atol=1e-14)
         profile, vectors, decomposition = kahler_profile(W)
         assert profile.entries == ((PI2, 1), (0.0, 2))
-        assert profile.dim == 3
+        assert sum(mult for _, mult in profile.entries) == 3
         # blocks are complex-orthogonal
         J = complex_structure(m)
         (a1, block1), (a2, block2) = decomposition[0], decomposition[-1]
@@ -160,20 +192,6 @@ class TestCongruence:
         assert not congruent(complex_line(), totally_real_plane())
         assert congruence_invariant(complex_line()).entries == ((0.0, 2),)
         assert congruence_invariant(totally_real_plane()).entries == ((PI2, 2),)
-
-
-class TestConstantAngle:
-    def test_complex_plane(self):
-        assert has_constant_angle(complex_line()) == 0.0
-
-    def test_mixed_returns_none(self):
-        m = 3
-        W = RealSubspace(m, np.array([unit(m, 0), unit(m, 0, imag=True), unit(m, 1)]))
-        assert has_constant_angle(W) is None
-
-    def test_pi_third(self):
-        phi = has_constant_angle(angle_plane(np.pi / 3))
-        assert phi is not None and abs(phi - np.pi / 3) < 1e-12
 
 
 class TestRandomSubspace:
