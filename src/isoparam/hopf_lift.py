@@ -17,6 +17,15 @@ families: diagonalizable lifts are tubes around complex totally geodesic
 subspaces, defect-one lifts are horospheres, complex-pair lifts are tubes
 around the real form, and defect-two lifts are tubes around the ruled
 minimal submanifolds.
+
+The bordered matrix is an arrowhead, and classify_lift never factors it
+whole.  Inside each run of equal curvatures a Householder reflection moves
+the run's part of b onto one row, and the other rows of the run split off
+as exact spacelike eigenvectors (Golub's deflation of bordered diagonal
+matrices).  What is left is a bordered block with one row per distinct
+curvature plus the vertical field; for Hopf data b has one entry, so the
+type is decided by a 2 x 2 block (Magid).  Only that block goes through
+the dense Jordan classification.
 """
 
 from __future__ import annotations
@@ -25,8 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintViolation, DimensionMismatch, check_curvature
+from .errors import (
+    ConstraintViolation,
+    DimensionMismatch,
+    NondiagnosableOperator,
+    check_curvature,
+)
 from .indefinite_linalg import (
+    JORDAN_TOL,
     JordanClassification,
     LorentzForm,
     SelfAdjointOperator,
@@ -95,6 +110,19 @@ def tube_lift_data(spec, xi) -> LiftedShapeData:
     return LiftedShapeData(spectrum_from_values(evals), b, spec.c)
 
 
+def _arrowhead(values, border, s0):
+    """The bordered matrix with the given diagonal, last column -s0 border
+    and last row +s0 border, and the signs (+1, ..., +1, -1) of its Gram."""
+    m = len(values)
+    M = np.zeros((m + 1, m + 1))
+    M[np.arange(m), np.arange(m)] = values
+    M[:m, m] = -border * s0
+    M[m, :m] = border * s0
+    signs = np.ones(m + 1)
+    signs[m] = -1.0
+    return M, signs
+
+
 def lift_shape_operator(data: LiftedShapeData) -> SelfAdjointOperator:
     """The bordered (2n x 2n) lifted shape operator.
 
@@ -102,20 +130,106 @@ def lift_shape_operator(data: LiftedShapeData) -> SelfAdjointOperator:
     last row +b_i sqrt(-c)/2, corner 0.  Self-adjoint for diag(1,...,1,-1);
     its trace equals the downstairs mean curvature exactly.
     """
-    values = data.spectrum_down.expanded()
-    m = len(values)
-    s0 = np.sqrt(-data.c) / 2
-    M = np.zeros((m + 1, m + 1))
-    M[np.arange(m), np.arange(m)] = values
-    M[:m, m] = -data.b * s0
-    M[m, :m] = data.b * s0
-    gram = np.diag([1.0] * m + [-1.0])
-    return SelfAdjointOperator(LorentzForm(m + 1, gram), M)
+    M, signs = _arrowhead(data.spectrum_down.expanded(), data.b, np.sqrt(-data.c) / 2)
+    return SelfAdjointOperator(LorentzForm(len(signs), np.diag(signs)), M)
+
+
+def _reflect(seg: np.ndarray, H: np.ndarray) -> float:
+    """Make the identity block H the Householder reflection that maps seg
+    to sigma e_1, and return sigma.  H stays the identity when seg has no
+    weight beyond its first entry."""
+    if not seg[1:].any():
+        return float(seg[0])
+    sigma = -np.copysign(np.linalg.norm(seg), seg[0])
+    v = seg.copy()
+    v[0] -= sigma
+    H -= (2.0 / (v @ v)) * np.outer(v, v)
+    return float(sigma)
 
 
 def classify_lift(data: LiftedShapeData) -> JordanClassification:
-    """Lift the spectrum and classify the resulting Lorentzian operator."""
-    return classify_jordan(lift_shape_operator(data))
+    """Classify the lifted shape operator on its deflated bordered block.
+
+    A curvature of multiplicity L is a run of L equal diagonal entries of
+    the arrowhead, so a Householder reflection inside the run commutes
+    with the diagonal and maps b on the run to sigma e_1 (Golub, SIAM Rev.
+    15, 1973).  Its other L - 1 columns are exact eigenvectors of the
+    lift: spacelike, orthonormal, with the run's value.  classify_jordan
+    classifies the bordered block that stays coupled: one row per distinct
+    curvature plus the vertical field.  A row stays even where its sigma
+    is zero: the defective eigenvalue of a W-tube carries no weight, and
+    its exact copy anchors the split triple root of the block to type III.
+
+    The free columns of a run join the block eigenvalue nearest the run's
+    value, or form a clean eigenvalue of their own when none lies within
+    the last merge rung of classify_jordan; a joined eigenvalue is the
+    mean over all its copies.  The adapted basis keeps the canonical order
+    of classify_jordan (the leading block, then the timelike or defective
+    eigenvalue, then the rest ascending) and must reconstruct the full
+    bordered matrix within the guard of that last rung, or
+    NondiagnosableOperator is raised.
+    """
+    entries = data.spectrum_down.entries
+    values = np.array([v for v, _, _ in entries])
+    runs = [a for _, a, _ in entries]
+    starts = np.cumsum([0] + runs[:-1])
+    m = sum(runs)
+    s0 = np.sqrt(-data.c) / 2
+
+    # deflate: Q is orthogonal and fixes the vertical field
+    Q = np.eye(m + 1)
+    border = np.array(
+        [_reflect(data.b[s:s + L], Q[s:s + L, s:s + L]) for s, L in zip(starts, runs)]
+    )
+    block, signs = _arrowhead(values, border, s0)
+    small = classify_jordan(SelfAdjointOperator(LorentzForm(len(signs), np.diag(signs)), block))
+
+    # embed: [value, alg, geo, column blocks] per eigenvalue
+    lead = small.dim - len(small.diag)  # the canonical block's columns
+    cols = Q[:, list(starts) + [m]] @ small.adapted_basis
+    diag = np.array(small.diag)
+    eigs = [[v, a, g, [cols[:, lead:][:, diag == v]]] for v, a, g in small.real_eigs]
+    # the timelike (I) or defective (II, III) eigenvalue comes first; IV has none
+    first = small.diag[0] if small.jtype == "I" else small.defective_eig
+    first = next((e for e in eigs if e[0] == first), None)
+    centers = np.array([e[0] for e in eigs])
+    reach = JORDAN_TOL * (1.0 + np.abs(block).max())
+    for value, s, L in zip(values, starts, runs):
+        if L == 1:
+            continue
+        free = Q[:, s + 1:s + L]
+        near = int(np.argmin(np.abs(centers - value))) if centers.size else None
+        if near is None or abs(centers[near] - value) > reach:
+            eigs.append([value, L - 1, L - 1, [free]])
+            continue
+        e = eigs[near]
+        e[0] += (L - 1) * (value - e[0]) / (e[1] + L - 1)  # the mean over all copies
+        e[1] += L - 1
+        e[2] += L - 1
+        e[3].append(free)
+    eigs.sort(key=lambda e: (e is not first, e[0]))
+
+    basis = np.hstack([cols[:, :lead]] + [blk for e in eigs for blk in e[3]])
+    cls = JordanClassification(
+        jtype=small.jtype,
+        real_eigs=tuple(sorted((float(v), a, g) for v, a, g, _ in eigs)),
+        complex_pair=small.complex_pair,
+        epsilon=small.epsilon,
+        adapted_basis=basis,
+        diag=tuple(float(e[0]) for e in eigs for blk in e[3] for _ in range(blk.shape[1])),
+        dim=m + 1,
+    )
+
+    # the guard of classify_jordan's last rung, on the full bordered matrix
+    M, signs = _arrowhead(data.spectrum_down.expanded(), data.b, s0)
+    gram_err = np.abs(basis.T @ (signs[:, None] * basis) - cls.canonical_gram()).max()
+    shape_err = np.abs(M @ basis - basis @ cls.canonical_matrix()).max()
+    scale = 1.0 + np.abs(M).max()
+    if not max(gram_err, shape_err) / scale <= 100 * JORDAN_TOL * scale:
+        raise NondiagnosableOperator(
+            f"deflated lift does not reconstruct (gram {gram_err:.2e}, shape {shape_err:.2e})"
+        )
+    return cls
 
 
 def project_spectrum(cls: JordanClassification, c: float) -> TubeSpectrum:

@@ -124,7 +124,7 @@ class KahlerProfile:
         ents = tuple(sorted(((float(a), int(m)) for a, m in self.entries), reverse=True))
         if any(m <= 0 for _, m in ents):
             raise ValueError("multiplicities must be positive")
-        if any(a < -ANGLE_TOL or a > np.pi / 2 + ANGLE_TOL for a, _ in ents):
+        if any(not -ANGLE_TOL <= a <= np.pi / 2 + ANGLE_TOL for a, _ in ents):  # and NaN
             raise ValueError("angles must lie in [0, pi/2]")
         # angles below pi/2 only occur with even multiplicity
         if any(m % 2 and a < np.pi / 2 - ANGLE_TOL for a, m in ents):

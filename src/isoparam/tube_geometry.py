@@ -251,9 +251,9 @@ def _poly_roots(coeffs: np.ndarray) -> np.ndarray:
 def tube_mean_curvature(n: int, k: int, r: float, c: float) -> float:
     """Mean curvature of the tube of radius r around a (2n-k)-dim W_w:
 
-    H = sqrt(-c) (k - 1 + 2n sinh^2(r sqrt(-c)/2))
-        / (2 sinh(r sqrt(-c)/2) cosh(r sqrt(-c)/2)).
+    H = 2 s0 (k - 1) / sinh(2 s0 r) + 2n s0 tanh(s0 r),  s0 = sqrt(-c)/2,
 
+    with 1/sinh(x) = 2 e^(-x) / (1 - e^(-2x)), which cannot overflow.
     Constant in the normal direction (and hence in the Kahler angle): the
     tubes are isoparametric.  For k = 1, r = 0 is allowed and gives the
     minimal ruled hypersurface itself.
@@ -268,8 +268,8 @@ def tube_mean_curvature(n: int, k: int, r: float, c: float) -> float:
             raise FocalRadius("r = 0 degenerates the tube to the focal submanifold")
         return 0.0
     s0 = np.sqrt(-c) / 2
-    sh, ch = np.sinh(s0 * r), np.cosh(s0 * r)
-    return float(2 * s0 * (k - 1 + 2 * n * sh**2) / (2 * sh * ch))
+    csch = 2 * np.exp(-2 * s0 * r) / -np.expm1(-4 * s0 * r)
+    return float(2 * s0 * (k - 1) * csch + 2 * n * s0 * np.tanh(s0 * r))
 
 
 def standard_spectrum(example: str, n: int, r: float = None, c: float = -4.0, k: int = None) -> TubeSpectrum:
@@ -283,31 +283,29 @@ def standard_spectrum(example: str, n: int, r: float = None, c: float = -4.0, k:
     if n < 2:
         raise InvalidK("need n >= 2")
     check_curvature(c)
-    s0 = np.sqrt(-c) / 2
-    if example == "horosphere":
-        lam1, lam2 = s0, 2 * s0
-        raw = [(lam1, 2 * (n - 1)), (lam2, 1)]
-        hopf = lam2
-    elif example == "tube-chk":
-        if k is None or not 0 <= k <= n - 1:
-            raise InvalidK(f"tube-chk needs 0 <= k <= n-1, got {k}")
-        if r is None or not 0 < r < np.inf:  # also rejects NaN
-            raise FocalRadius("tube radius must be positive and finite")
-        lam1 = s0 * np.tanh(s0 * r)
-        lam2 = s0 / np.tanh(s0 * r)
-        lam3 = 2 * s0 / np.tanh(2 * s0 * r)
-        raw = [(lam1, 2 * k), (lam2, 2 * (n - k - 1)), (lam3, 1)]
-        hopf = lam3
-    elif example == "tube-rhn":
-        if r is None or not 0 < r < np.inf:  # also rejects NaN
-            raise FocalRadius("tube radius must be positive and finite")
-        lam1 = s0 * np.tanh(s0 * r)
-        lam2 = s0 / np.tanh(s0 * r)
-        lam3 = 2 * s0 * np.tanh(2 * s0 * r)
-        raw = [(lam1, n - 1), (lam2, n - 1), (lam3, 1)]
-        hopf = lam3
-    else:
+    if example not in ("horosphere", "tube-chk", "tube-rhn"):
         raise InvalidK(f"unknown example {example!r}")
+    if example == "tube-chk" and (k is None or not 0 <= k <= n - 1):
+        raise InvalidK(f"tube-chk needs 0 <= k <= n-1, got {k}")
+    if example == "horosphere":  # it ignores r, but an r that is given is finite
+        valid = r is None or np.isfinite(r)
+    else:
+        valid = r is not None and 0 < r < np.inf  # also rejects NaN
+    if not valid:
+        raise FocalRadius("tube radius must be positive and finite")
+    s0 = np.sqrt(-c) / 2
+    with np.errstate(over="ignore", divide="ignore"):
+        if example == "horosphere":
+            raw = [(s0, 2 * (n - 1)), (2 * s0, 1)]
+        elif example == "tube-chk":
+            t = np.tanh(s0 * r)
+            raw = [(s0 * t, 2 * k), (s0 / t, 2 * (n - k - 1)), (2 * s0 / np.tanh(2 * s0 * r), 1)]
+        else:
+            t = np.tanh(s0 * r)
+            raw = [(s0 * t, n - 1), (s0 / t, n - 1), (2 * s0 * np.tanh(2 * s0 * r), 1)]
+    if not np.isfinite([v for v, _ in raw]).all():  # 1/tanh overflows at a tiny r
+        raise FocalRadius(f"a principal curvature at r = {r} is not finite")
+    hopf = raw[-1][0]
     # merge coincident values (tube-rhn at r = log(2+sqrt(3))/sqrt(-c))
     values, mults = np.array(sorted((v, m) for v, m in raw if m > 0)).T
     return TubeSpectrum(_merged_entries(values, mults), hopf_value=float(hopf))

@@ -8,6 +8,7 @@ import pytest
 
 from isoparam import random_subspace
 from isoparam.cli import EXIT_NOINPUT, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, run
+from test_readme_cli import strict_json
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -341,3 +342,25 @@ class TestDeterminismAndErrors:
         payload = json.loads(out)
         validate("error", payload)
         assert payload["error"]["type"] == "InvalidK"
+
+
+class TestStrictJson:
+    # the README examples are parsed as strict JSON by test_readme_cli
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 1/tanh overflows at a subnormal radius
+            ["spectrum", "--example", "tube-chk", "--n", "3", "--k", "1",
+             "--radius", "1e-320", "--output", "json"],
+            ["classify", "--k", "2", "--angle", "nan", "--n", "3"],
+            # the horosphere ignores the radius but the record echoes it
+            ["spectrum", "--example", "horosphere", "--n", "3", "--radius", "inf",
+             "--output", "json"],
+            ["lift", "--example", "horosphere", "--n", "3", "--radius", "nan"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_non_finite_input_gives_strict_error_record(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == EXIT_VALIDATION
+        validate("error", strict_json(out))

@@ -287,8 +287,66 @@ def test_each_cluster_center_factored_once(monkeypatch):
     classify_pass, kernel = il._classify_pass, il._kernel
     monkeypatch.setattr(il, "_classify_pass", lambda *a: passes.append(1) or classify_pass(*a))
     monkeypatch.setattr(il, "_kernel", lambda A, v, t: centers.append(v) or kernel(A, v, t))
-    cls = classify_lift(w_tube_lift(10, 0.7, 16, seed=10))
+    cls = classify_jordan(lift_shape_operator(w_tube_lift(10, 0.7, 16, seed=10)))
     assert cls.jtype == "III"
     assert len(passes) > 1
     assert len(centers) == len(set(centers))
     assert {value for value, _, _ in cls.real_eigs} <= set(centers)
+
+
+def lift_cases(n, r):
+    """(family, lift data) for the three Hopf families and, from n = 3 on, a
+    W-tube with dim w_perp = n at a normal of intermediate angle."""
+    cases = [
+        (family, hopf_lift_data(standard_spectrum(family, n, r=r, c=C, k=n // 2), C))
+        for family in ("tube-chk", "horosphere", "tube-rhn")
+    ]
+    if n >= 3:
+        cases.append(("w-tube", w_tube_lift(n, r, n, seed=n)))
+    return cases
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 10, 30, 100])
+def test_deflated_lift_matches_full_classification(n):
+    # oracle: classify_jordan on the full 2n x 2n bordered matrix
+    for r in ([0.05, 0.7, 2.5] if n <= 30 else [0.7]):
+        for family, data in lift_cases(n, r):
+            op = lift_shape_operator(data)
+            want, got = classify_jordan(op), classify_lift(data)
+            assert got.jtype == want.jtype, (family, r)
+            assert [(a, g) for _, a, g in got.real_eigs] == [(a, g) for _, a, g in want.real_eigs]
+            assert got.epsilon == want.epsilon
+            assert (got.complex_pair is None) == (want.complex_pair is None)
+            pairs = list(zip(got.complex_pair or (), want.complex_pair or ()))
+            pairs += [(u, v) for (u, _, _), (v, _, _) in zip(got.real_eigs, want.real_eigs)]
+            pairs += list(zip(got.diag, want.diag))  # same canonical column order
+            assert len(got.diag) == len(want.diag)
+            for u, v in pairs:
+                assert abs(u - v) <= 1e-12 * abs(v), (family, r, u, v)
+            B = got.adapted_basis
+            gram_err = np.abs(B.T @ op.form.gram @ B - got.canonical_gram()).max()
+            shape_err = np.abs(op.matrix @ B - B @ got.canonical_matrix()).max()
+            got_err = max(gram_err, shape_err)
+            if family != "w-tube":
+                assert got_err <= 1e-9, (family, r)
+            B = want.adapted_basis
+            gram_err = np.abs(B.T @ op.form.gram @ B - want.canonical_gram()).max()
+            shape_err = np.abs(op.matrix @ B - B @ want.canonical_matrix()).max()
+            assert got_err <= 10 * max(gram_err, shape_err) + 1e-12, (family, r)
+
+
+@pytest.mark.parametrize("r", [0.3, 0.7, 1.5])
+def test_zero_weight_eigenvalue_keeps_its_row(r):
+    # for n = 2, k = 1 the W-tube curvature lambda = s0 tanh(s0 r) carries
+    # no Hopf weight; the deflated block must keep its row, whose exact
+    # copy of lambda holds the split triple root of the lift to type III
+    W = build_w(random_subspace(1, 1, seed=0), 2, C)
+    v = W.w_perp_basis[0]
+    data = tube_lift_data(TubeSpec(W, r), ANVector(0.0, v[0::2] + 1j * v[1::2], 0.0, C))
+    lam = np.sqrt(-C) / 2 * np.tanh(np.sqrt(-C) / 2 * r)
+    i = int(np.argmin(np.abs(data.spectrum_down.expanded() - lam)))
+    assert abs(data.b[i]) <= 1e-12
+    cls = classify_lift(data)
+    assert cls.jtype == "III"
+    assert abs(cls.defective_eig - lam) < 1e-8
+    assert [(a, g) for _, a, g in cls.real_eigs] == [(4, 2)]

@@ -279,6 +279,11 @@ class TestInvariants:
         with pytest.raises(ValueError):
             KahlerProfile(((0.3, 1),))
 
+    @pytest.mark.parametrize("angle", [float("nan"), float("inf"), -0.1, 2.0])
+    def test_profile_type_rejects_angle_outside_range(self, angle):
+        with pytest.raises(ValueError):
+            KahlerProfile(((angle, 2),))
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_subspace_rejects_non_finite_basis(self, bad):
         with pytest.raises(ValueError):

@@ -2,9 +2,9 @@
 
 Every `isoparam ...` line of that README section is rerun in process and
 compared with its output recorded in data/readme_cli.json.  JSON output is
-compared as parsed JSON, table output token by token: strings, integers,
-booleans and the structure must be equal, floats agree within 1e-12
-relative.  The `w.json` of the examples is the file written by
+compared as parsed JSON, which must be strict (no NaN or Infinity), table
+output token by token: strings, integers, booleans and the structure must
+be equal, floats agree within 1e-12 relative.  The `w.json` of the examples is the file written by
 `random_subspace(2, 1, seed=3).to_json()`.
 
 Re-record (only when a change of output is intended) with
@@ -52,11 +52,21 @@ def _number(token: str):
     return float(token) if any(ch in token for ch in ".eE") else int(token)
 
 
+def strict_json(text: str):
+    """json.loads that also rejects NaN, Infinity and -Infinity, which
+    Python's json module writes but JSON does not have."""
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def parse(text: str):
-    """JSON output as parsed JSON; a table as its lines, each split into
-    the text between numbers and the numbers (int or float)."""
+    """JSON output as parsed strict JSON; a table as its lines, each split
+    into the text between numbers and the numbers (int or float)."""
     try:
-        return json.loads(text)
+        return strict_json(text)
     except json.JSONDecodeError:
         return [
             (NUMBER.split(line), [_number(tok) for tok in NUMBER.findall(line)])

@@ -1,5 +1,7 @@
 """Tests for the Jacobi-field tube calculus and spectra."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,14 @@ class TestMeanCurvature:
         with pytest.raises(FocalRadius):
             tube_mean_curvature(3, 2, r, C)
 
+    @pytest.mark.parametrize("n, k", [(3, 1), (3, 2), (3, 3), (20, 30)])
+    def test_large_radius_limit_without_overflow(self, n, k):
+        # sinh(2 s0 r) overflows at r = 400; H tends to 2n s0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            H = tube_mean_curvature(n, k, 400.0, C)
+        assert abs(H - 2 * n * np.sqrt(-C) / 2) <= 1e-12
+
 
 class TestTubeSpec:
     @pytest.mark.parametrize("r", [0.0, -1.0, float("nan"), float("inf")])
@@ -250,6 +260,21 @@ class TestStandardSpectra:
             standard_spectrum("tube-chk", 3, r=1.0, c=C, k=5)
         with pytest.raises(InvalidK):
             standard_spectrum("nonsense", 3, r=1.0, c=C)
+
+    @pytest.mark.parametrize("example", ["tube-chk", "tube-rhn", "horosphere"])
+    @pytest.mark.parametrize("r", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_radius(self, example, r):
+        # the horosphere ignores r, but a radius that is given must be finite
+        with pytest.raises(FocalRadius):
+            standard_spectrum(example, 3, r=r, c=C, k=1)
+
+    @pytest.mark.parametrize("example", ["tube-chk", "tube-rhn"])
+    def test_rejects_radius_whose_curvatures_overflow(self, example):
+        # s0 / tanh(s0 r) is inf at a subnormal r
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FocalRadius):
+                standard_spectrum(example, 3, r=1e-320, c=C, k=1)
 
 
 class TestTubeSpectrumAt:
