@@ -47,6 +47,16 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy seeds its generators from non-negative integers."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="isoparam", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command")
@@ -55,7 +65,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--curvature", type=float, default=-4.0, help="ambient curvature c < 0")
         if tol:
             p.add_argument("--tol", type=float, default=None, help="numeric tolerance")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--output", choices=("json", "csv", "table"), default=None)
 
     p = sub.add_parser("spectrum", help="principal curvatures of an example or a W_w tube")

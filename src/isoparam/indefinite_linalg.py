@@ -244,18 +244,24 @@ def classify_jordan(op: SelfAdjointOperator, tol: float = DEFAULT_TOL) -> Jordan
     return _classify_pass(op, w, ladder[-1], rank_threshold, kernels)
 
 
-def cluster(values, tol) -> list[slice]:
+def cluster(values, tol) -> list:
     """Split a monotone sequence into runs of nearby values.
 
     A run ends wherever two consecutive values differ by more than tol, a
     scalar or one tolerance per gap (len(values) - 1 entries).  Returns the
-    runs as slices into values, in order; empty input gives no runs.
+    runs as slices into values, in order; empty input gives no runs.  A
+    stack of sequences (N, n) is compared in one pass and gives one such
+    list per row.
     """
     values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return []
-    cuts = (np.flatnonzero(np.abs(np.diff(values)) > tol) + 1).tolist()
-    return [slice(a, b) for a, b in zip([0] + cuts, cuts + [values.size])]
+    n = values.shape[-1]
+    split = np.abs(np.diff(values)) > tol
+
+    def runs(row) -> list[slice]:
+        cuts = (np.flatnonzero(row) + 1).tolist()
+        return [slice(a, b) for a, b in zip([0] + cuts, cuts + [n])] if n else []
+
+    return runs(split) if values.ndim == 1 else [runs(row) for row in split]
 
 
 def _split_spectrum(w: np.ndarray, merge_tol: float):
@@ -379,8 +385,10 @@ def _classify_pass(op: SelfAdjointOperator, w, merge_tol, rank_threshold, kernel
     )
     gram_err = np.abs(basis.T @ G @ basis - cls.canonical_gram()).max()
     shape_err = np.abs(A @ basis - basis @ cls.canonical_matrix()).max()
-    guard = 100 * merge_tol * (1 + np.abs(A).max())
-    if gram_err > guard or shape_err > guard:
+    # 100 merge_tol (1 + max|A|), with the scale divided out: merge_tol
+    # already carries it, and the product overflows once max|A| > ~1e150
+    scale = 1 + np.abs(A).max()
+    if max(gram_err, shape_err) / scale > 100 * merge_tol:
         raise NondiagnosableOperator(
             f"canonical reconstruction failed (gram {gram_err:.2e}, shape {shape_err:.2e})"
         )

@@ -10,6 +10,15 @@ For xi in W the orthogonal split J xi = F xi + P xi (F into W, P into the
 complement) defines the Kahler angle of xi.  Diagonalizing the symmetric
 form (xi, eta) -> <F xi, F eta> on W produces the principal Kahler angles,
 the complete invariant of W under the unitary group.
+
+The kernels take stacks of bases, so that many subspaces of one shape cost
+one LAPACK call: a stack of N real k-planes of C^m is an array (N, k, 2m)
+of orthonormal rows.  random_bases draws a stack from N seeds (one QR),
+unitary_images maps it by N Haar-random unitaries (one complex QR, one
+SVD), _complement_rows gives the complements (N, 2m - k, 2m) (one full
+SVD), and kahler_profiles gives one (profile, vectors, decomposition) per
+basis (one eigh).  The functions on one RealSubspace (random_subspace,
+unitary_conjugate, complement, kahler_profile) run them on a stack of one.
 """
 
 from __future__ import annotations
@@ -57,13 +66,18 @@ def _orth_rows(V: np.ndarray) -> np.ndarray:
 
 
 def _complement_rows(rows: np.ndarray, dim: int) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of orthonormal rows."""
-    if rows.shape[0] == 0:
-        return np.eye(dim)
-    if rows.shape[0] == dim:
-        return np.zeros((0, dim))
+    """Orthonormal bases of the orthogonal complements of orthonormal rows.
+
+    rows is one matrix (r, dim) or a stack (N, r, dim); the result has
+    dim - r rows per matrix.
+    """
+    r = rows.shape[-2]
+    if r == 0:
+        return np.tile(np.eye(dim), rows.shape[:-2] + (1, 1))
+    if r == dim:
+        return np.zeros(rows.shape[:-2] + (0, dim))
     _, _, vt = np.linalg.svd(rows, full_matrices=True)
-    return vt[rows.shape[0]:]
+    return vt[..., r:, :]
 
 
 @dataclass(frozen=True)
@@ -144,8 +158,8 @@ class KahlerProfile:
         return tuple((a, m) for a, m in self.entries if a > ANGLE_TOL)
 
 
-def _angle_from_sq(cos_sq: float) -> float:
-    return float(np.arccos(np.sqrt(min(1.0, max(0.0, cos_sq)))))
+def _angle_from_sq(cos_sq: np.ndarray) -> np.ndarray:
+    return np.arccos(np.sqrt(np.clip(cos_sq, 0.0, 1.0)))
 
 
 def pf_split(W: RealSubspace, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -165,6 +179,35 @@ def pf_split(W: RealSubspace, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return F, jxi - F
 
 
+def kahler_profiles(bases: np.ndarray) -> list:
+    """kahler_profile of each basis in a stack (N, k, 2m), as a list of N.
+
+    One eigh diagonalizes the stack; the angles (N, k) are clustered in
+    one pass.
+    """
+    # K[i, j] = <b_i, J b_j>, skew; the form <F xi, F eta> is K^T K = -K^2
+    K = apply_J(bases) @ bases.mT
+    M = K.mT @ K
+    M = 0.5 * (M + M.mT)
+    evals, evecs = np.linalg.eigh(M)  # ascending: angles descending
+    angles = _angle_from_sq(evals)
+    vectors = (bases.mT @ evecs).mT
+    out = []
+    for row, vecs, runs in zip(angles, vectors, cluster(angles, ANGLE_TOL)):
+        entries = []
+        decomposition = []
+        for g in runs:
+            ang = float(row[g].mean())
+            if abs(ang) <= ANGLE_TOL:
+                ang = 0.0
+            if abs(ang - np.pi / 2) <= ANGLE_TOL:
+                ang = float(np.pi / 2)
+            entries.append((ang, g.stop - g.start))
+            decomposition.append((ang, vecs[g]))
+        out.append((KahlerProfile(tuple(entries)), vecs, decomposition))
+    return out
+
+
 def kahler_profile(W: RealSubspace):
     """Principal Kahler angles, vectors, and constant-angle decomposition.
 
@@ -172,28 +215,7 @@ def kahler_profile(W: RealSubspace):
     is an orthonormal basis of W (rows) diagonalizing <F xi, F eta>, and
     decomposition lists (angle, sub-basis) blocks of constant angle.
     """
-    k = W.dim
-    if k == 0:
-        return KahlerProfile(()), np.zeros((0, 2 * W.ambient_cdim)), []
-    B = W.basis
-    # K[i, j] = <b_i, J b_j>, skew; the form <F xi, F eta> is K^T K = -K^2
-    K = apply_J(B) @ B.T
-    M = K.T @ K
-    M = 0.5 * (M + M.T)
-    evals, evecs = np.linalg.eigh(M)  # ascending: angles descending
-    vectors = (B.T @ evecs).T
-    angles = np.array([_angle_from_sq(ev) for ev in evals])
-    entries = []
-    decomposition = []
-    for g in cluster(angles, ANGLE_TOL):
-        ang = float(angles[g].mean())
-        if abs(ang) <= ANGLE_TOL:
-            ang = 0.0
-        if abs(ang - np.pi / 2) <= ANGLE_TOL:
-            ang = float(np.pi / 2)
-        entries.append((ang, g.stop - g.start))
-        decomposition.append((ang, vectors[g]))
-    return KahlerProfile(tuple(entries)), vectors, decomposition
+    return kahler_profiles(W.basis[None])[0]
 
 
 def congruence_invariant(w: RealSubspace) -> KahlerProfile:
@@ -213,17 +235,25 @@ def congruent(w1: RealSubspace, w2: RealSubspace) -> bool:
     return congruence_invariant(w1).matches(congruence_invariant(w2))
 
 
+def random_bases(m: int, k: int, seeds) -> np.ndarray:
+    """Bases (len(seeds), k, 2m) of uniformly random k-planes in C^m.
+
+    The generator of each seed draws Gaussian vectors; one stacked QR
+    orthonormalizes them.  Deterministic in the seeds.
+    """
+    if not 0 <= k <= 2 * m:
+        raise DimensionMismatch(f"k={k} outside [0, {2 * m}]")
+    A = np.stack([np.random.default_rng(seed).standard_normal((2 * m, k)) for seed in seeds])
+    q, _ = np.linalg.qr(A)
+    return q.mT
+
+
 def random_subspace(m: int, k: int, seed: int) -> RealSubspace:
     """A uniformly random k-plane in C^m: orthonormalized Gaussian vectors.
 
     Deterministic in the seed.
     """
-    if not 0 <= k <= 2 * m:
-        raise DimensionMismatch(f"k={k} outside [0, {2 * m}]")
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((2 * m, k))
-    q, _ = np.linalg.qr(A)
-    return RealSubspace(m, q[:, :k].T)
+    return RealSubspace(m, random_bases(m, k, [seed])[0])
 
 
 def complement(W: RealSubspace) -> RealSubspace:
@@ -235,21 +265,34 @@ def complement(W: RealSubspace) -> RealSubspace:
     return RealSubspace(W.ambient_cdim, _complement_rows(W.basis, 2 * W.ambient_cdim))
 
 
+def unitary_images(bases: np.ndarray, seeds) -> np.ndarray:
+    """Images of a stack of bases (N, k, 2m) under Haar-random unitaries.
+
+    The generator of seed i draws the unitary that maps basis i; one
+    stacked complex QR makes the unitaries and one stacked SVD
+    orthonormalizes the images (N, k, 2m) to working precision.
+    """
+    m = bases.shape[-1] // 2
+    Z = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        Z.append(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    Q, R = np.linalg.qr(np.stack(Z))
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    Q = Q * (d / np.abs(d))[..., None, :]
+    # real 2m x 2m matrix of each unitary in interleaved coordinates
+    U = np.zeros(Q.shape[:-2] + (2 * m, 2 * m))
+    U[..., 0::2, 0::2] = Q.real
+    U[..., 0::2, 1::2] = -Q.imag
+    U[..., 1::2, 0::2] = Q.imag
+    U[..., 1::2, 1::2] = Q.real
+    q, _, _ = np.linalg.svd((bases @ U.mT).mT, full_matrices=False)
+    return q.mT
+
+
 def unitary_conjugate(W: RealSubspace, seed: int) -> RealSubspace:
     """Image of W under a Haar-random unitary transformation of C^m."""
-    m = W.ambient_cdim
-    rng = np.random.default_rng(seed)
-    Z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    Q, R = np.linalg.qr(Z)
-    Q = Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
-    # real 2m x 2m matrix of the unitary in interleaved coordinates
-    U = np.zeros((2 * m, 2 * m))
-    U[0::2, 0::2] = Q.real
-    U[0::2, 1::2] = -Q.imag
-    U[1::2, 0::2] = Q.imag
-    U[1::2, 1::2] = Q.real
-    new_basis = W.basis @ U.T
-    return RealSubspace(m, _orth_rows(new_basis))
+    return RealSubspace(W.ambient_cdim, unitary_images(W.basis[None], [seed])[0])
 
 
 def subspace_from_blocks(m: int, blocks: list[tuple[float, int]]) -> RealSubspace:

@@ -110,89 +110,92 @@ def _random_flat(rng, n) -> np.ndarray:
 # suites
 
 
-def _suite_kahler(config: RunConfig) -> SuiteResult:
-    out = SuiteResult("kahler")
-    c = out.checks
+def _kahler_draws(rng, trials: int, k_min: int):
+    """Draw (m, k, seed) per trial, in trial order; group the trials by (m, k).
 
-    rng = _rng(config, "kahler", 0)
-    res, inputs = [], []
-    for trial in range(1000):
+    Returns the draws and a dict (m, k) -> (trial indices, seeds).
+    """
+    draws, groups = [], {}
+    for trial in range(trials):
         m = int(rng.integers(1, 6))
-        k = int(rng.integers(0, 2 * m + 1))
+        k = int(rng.integers(k_min, 2 * m + 1))
         seed = int(rng.integers(2**31))
-        W = ka.random_subspace(m, k, seed)
-        base = ka.congruence_invariant(W)
-        conj = ka.congruence_invariant(ka.unitary_conjugate(W, seed + 1))
-        if len(base.entries) != len(conj.entries) or any(
-            mb != mc for (_, mb), (_, mc) in zip(base.entries, conj.entries)
-        ):
-            res.append(np.inf)
-        else:
-            res.append(
-                max(
-                    (abs(ab - ac) for (ab, _), (ac, _) in zip(base.entries, conj.entries)),
-                    default=0.0,
-                )
-            )
-        inputs.append({"m": m, "k": k, "seed": seed})
+        draws.append({"m": m, "k": k, "seed": seed})
+        idx, seeds = groups.setdefault((m, k), ([], []))
+        idx.append(trial)
+        seeds.append(seed)
+    return draws, groups
+
+
+def _profile_gap(e1, e2) -> float:
+    """Largest angle difference of two entry lists; inf when the multiplicities differ."""
+    if len(e1) != len(e2) or any(m1 != m2 for (_, m1), (_, m2) in zip(e1, e2)):
+        return np.inf
+    return max((abs(a1 - a2) for (a1, _), (a2, _) in zip(e1, e2)), default=0.0)
+
+
+def _suite_kahler(config: RunConfig) -> SuiteResult:
+    """The Kahler-angle invariants, run as stacks: one QR / SVD / eigh per (m, k) group."""
+    out = SuiteResult("kahler")
+
+    inputs, groups = _kahler_draws(_rng(config, "kahler", 0), 1000, 0)
+    res = np.empty(len(inputs))
+    for (m, k), (idx, seeds) in groups.items():
+        B = ka.random_bases(m, k, seeds)
+        base = ka.kahler_profiles(B)
+        conj = ka.kahler_profiles(ka.unitary_images(B, [seed + 1 for seed in seeds]))
+        for t, (pb, _, _), (pc, _, _) in zip(idx, base, conj):
+            res[t] = _profile_gap(pb.entries, pc.entries)
     _record(out.checks, "kahler_angle", "profile_unitary_invariance", res, 1e-8, inputs)
 
-    rng = _rng(config, "kahler", 1)
-    res, inputs = [], []
-    for trial in range(300):
-        m = int(rng.integers(1, 6))
-        k = int(rng.integers(0, 2 * m + 1))
-        seed = int(rng.integers(2**31))
-        W = ka.random_subspace(m, k, seed)
-        p1 = ka.congruence_invariant(W).nonzero_entries()
-        p2 = ka.congruence_invariant(ka.complement(W)).nonzero_entries()
-        if len(p1) != len(p2) or any(m1 != m2 for (_, m1), (_, m2) in zip(p1, p2)):
-            res.append(np.inf)
-        else:
-            res.append(max((abs(a1 - a2) for (a1, _), (a2, _) in zip(p1, p2)), default=0.0))
-        inputs.append({"m": m, "k": k, "seed": seed})
+    inputs, groups = _kahler_draws(_rng(config, "kahler", 1), 300, 0)
+    res = np.empty(len(inputs))
+    for (m, k), (idx, seeds) in groups.items():
+        B = ka.random_bases(m, k, seeds)
+        base = ka.kahler_profiles(B)
+        comp = ka.kahler_profiles(ka._complement_rows(B, 2 * m))
+        for t, (pb, _, _), (pc, _, _) in zip(idx, base, comp):
+            res[t] = _profile_gap(pb.nonzero_entries(), pc.nonzero_entries())
     _record(out.checks, "kahler_angle", "complement_angle_matching", res, 1e-8, inputs)
 
-    rng = _rng(config, "kahler", 2)
-    res = []
-    for trial in range(200):
-        m = int(rng.integers(1, 6))
-        k = int(rng.integers(1, 2 * m + 1))
-        W = ka.random_subspace(m, k, int(rng.integers(2**31)))
-        B = W.basis
-        K = ka.apply_J(B) @ B.T  # F in the basis coordinates
-        res.append(np.abs(K + K.T).max())
+    _, groups = _kahler_draws(_rng(config, "kahler", 2), 200, 1)
+    res = np.empty(200)
+    for (m, k), (idx, seeds) in groups.items():
+        B = ka.random_bases(m, k, seeds)
+        K = ka.apply_J(B) @ B.mT  # F in the basis coordinates
+        res[idx] = np.abs(K + K.mT).max(axis=(1, 2))
     _record(out.checks, "kahler_angle", "f_skew_adjoint", res, 1e-10)
 
-    rng = _rng(config, "kahler", 3)
-    res = []
-    for trial in range(200):
-        m = int(rng.integers(1, 6))
-        k = int(rng.integers(1, 2 * m + 1))
-        W = ka.random_subspace(m, k, int(rng.integers(2**31)))
-        profile, vectors, decomposition = ka.kahler_profile(W)
-        worst = 0.0
-        for angle, block in decomposition:
-            for xi in block:
-                F, _ = ka.pf_split(W, xi)
-                F2 = W.project(ka.apply_J(F))
-                worst = max(worst, np.abs(F2 + np.cos(angle) ** 2 * xi).max())
-        res.append(worst)
+    _, groups = _kahler_draws(_rng(config, "kahler", 3), 200, 1)
+    res = np.empty(200)
+    for (m, k), (idx, seeds) in groups.items():
+        B = ka.random_bases(m, k, seeds)
+        profiles = ka.kahler_profiles(B)
+        # each principal vector xi against its block's angle; F xi is the
+        # projection of J xi onto W, one matrix-vector product per vector.
+        # Contiguous rows: BLAS sums a strided vector in another order.
+        xi = np.ascontiguousarray(np.stack([vecs for _, vecs, _ in profiles]))
+        cos_sq = np.array([[np.cos(a) ** 2 for a, block in dec for _ in block]
+                           for _, _, dec in profiles])
+        rows = B[:, None]
+
+        def project(v):
+            return (rows.mT @ (rows @ v[..., None]))[..., 0]
+
+        F = project(ka.apply_J(xi))
+        F2 = project(ka.apply_J(F))
+        res[idx] = np.abs(F2 + cos_sq[..., None] * xi).max(axis=(1, 2))
     _record(out.checks, "kahler_angle", "f_squared_identity", res, 1e-9)
 
-    rng = _rng(config, "kahler", 4)
-    res = []
-    for trial in range(300):
-        m = int(rng.integers(1, 6))
-        k = int(rng.integers(0, 2 * m + 1))
-        W = ka.random_subspace(m, k, int(rng.integers(2**31)))
-        profile = ka.congruence_invariant(W)
-        bad = sum(
-            1
-            for a, mult in profile.entries
-            if a < np.pi / 2 - ka.ANGLE_TOL and mult % 2
-        )
-        res.append(float(bad))
+    _, groups = _kahler_draws(_rng(config, "kahler", 4), 300, 0)
+    res = np.empty(300)
+    for (m, k), (idx, seeds) in groups.items():
+        for t, (profile, _, _) in zip(idx, ka.kahler_profiles(ka.random_bases(m, k, seeds))):
+            res[t] = sum(
+                1
+                for a, mult in profile.entries
+                if a < np.pi / 2 - ka.ANGLE_TOL and mult % 2
+            )
     _record(out.checks, "kahler_angle", "multiplicity_parity", res, 0.0)
 
     return out

@@ -2,6 +2,7 @@
 
 import importlib.resources
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -246,6 +247,22 @@ class TestDeterminismAndErrors:
         assert code == EXIT_USAGE
         validate("error", json.loads(out))
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["horocycle", "--n", "3", "--seed=-1"],
+            ["verify", "--suite", "cartan", "--seed=-1"],
+            ["lift", "--example", "lohnherr", "--n", "3", "--seed=-5"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed_is_usage_error(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        payload = strict_json(out)
+        validate("error", payload)
+        assert payload["error"]["type"] == "usage"
+
     def test_unknown_command(self, capsys):
         code, out = run_cli(capsys)
         assert code == EXIT_USAGE
@@ -364,3 +381,15 @@ class TestStrictJson:
         code, out = run_cli(capsys, *argv)
         assert code == EXIT_VALIDATION
         validate("error", strict_json(out))
+
+    def test_huge_curvatures_fail_without_overflow(self, capsys):
+        # curvatures near 1e300 are finite; the reconstruction guard of
+        # classify_jordan must compare them without overflowing
+        argv = ["lift", "--example", "tube-chk", "--n", "3", "--k", "1", "--radius", "1e-300"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = run_cli(capsys, *argv)
+        assert code == EXIT_VALIDATION
+        payload = strict_json(out)
+        validate("error", payload)
+        assert payload["error"]["type"] == "ConstraintViolation"

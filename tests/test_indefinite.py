@@ -252,6 +252,14 @@ class TestCluster:
         assert self.runs([2.5], 1e-8) == [(0, 1)]
         assert self.runs([2.5], np.zeros(0)) == [(0, 1)]
 
+    def test_stack_is_split_row_by_row(self):
+        rng = np.random.default_rng(5)
+        stack = np.sort(rng.choice([0.0, 1e-9, 0.5, 0.5 + 2e-9, 1.0], size=(20, 6)), axis=1)
+        assert cluster(stack, 1e-8) == [cluster(row, 1e-8) for row in stack]
+        tol = rng.uniform(0, 1e-8, size=5)
+        assert cluster(stack, tol) == [cluster(row, tol) for row in stack]
+        assert cluster(np.zeros((3, 0)), 1e-8) == [[], [], []]
+
     def test_gap_equal_to_tol_merges(self):
         assert self.runs([0.0, 0.5, 1.0], 0.5) == [(0, 3)]
 

@@ -1,8 +1,10 @@
 """Tests for real subspaces of complex space and their Kahler angles."""
 
+import kahler_oracles as oracle
 import numpy as np
 import pytest
 
+from isoparam import kahler_angle as ka
 from isoparam import (
     KahlerProfile,
     RealSubspace,
@@ -18,6 +20,7 @@ from isoparam import (
     subspace_from_blocks,
     unitary_conjugate,
 )
+from isoparam.verification import RunConfig, _kahler_draws, _suite_kahler
 
 PI2 = np.pi / 2
 
@@ -311,3 +314,62 @@ class TestBlockConstruction:
         W2 = RealSubspace.from_json(W.to_json())
         assert W2.ambient_cdim == 3
         assert np.allclose(W.basis, W2.basis)
+
+
+def same_profile(got, want):
+    """Bit-for-bit equality of two (profile, vectors, decomposition) triples."""
+    (p1, v1, d1), (p2, v2, d2) = got, want
+    return (
+        p1.entries == p2.entries
+        and np.array_equal(v1, v2)
+        and len(d1) == len(d2)
+        and all(a1 == a2 and np.array_equal(b1, b2) for (a1, b1), (a2, b2) in zip(d1, d2))
+    )
+
+
+class TestStackedKernels:
+    # k = 0, a line, the full space C^m, m = 1, and a generic shape
+    SHAPES = [(1, 0), (1, 1), (1, 2), (3, 0), (3, 1), (3, 2), (3, 6), (4, 5)]
+
+    @pytest.mark.parametrize("m,k", SHAPES)
+    def test_scalar_api_is_one_element_of_the_stack(self, m, k):
+        seeds = [11, 12, 13, 14]
+        B = ka.random_bases(m, k, seeds)
+        assert B.shape == (len(seeds), k, 2 * m)
+        images = ka.unitary_images(B, [s + 1 for s in seeds])
+        comps = ka._complement_rows(B, 2 * m)
+        assert images.shape == B.shape and comps.shape == (len(seeds), 2 * m - k, 2 * m)
+        profiles = ka.kahler_profiles(B)
+        assert len(profiles) == len(seeds)
+        for i, seed in enumerate(seeds):
+            W = random_subspace(m, k, seed)
+            assert np.array_equal(W.basis, B[i])
+            assert np.array_equal(unitary_conjugate(W, seed + 1).basis, images[i])
+            assert np.array_equal(complement(W).basis, comps[i])
+            assert same_profile(kahler_profile(W), profiles[i])
+            # and both equal the one-subspace-at-a-time oracle
+            Wo = oracle.random_subspace(m, k, seed)
+            assert np.array_equal(Wo.basis, B[i])
+            assert np.array_equal(oracle.unitary_conjugate(Wo, seed + 1).basis, images[i])
+            assert np.array_equal(oracle.complement(Wo).basis, comps[i])
+            assert same_profile(oracle.kahler_profile(Wo), profiles[i])
+
+    def test_mixed_groups_match_the_oracle_per_trial(self):
+        # the suite's grouping: trials drawn in order, run as one stack per
+        # (m, k), scattered back to their trial
+        draws, groups = _kahler_draws(np.random.default_rng(4), 120, 0)
+        assert len(groups) > 10
+        for (m, k), (idx, seeds) in groups.items():
+            B = ka.random_bases(m, k, seeds)
+            conj = ka.kahler_profiles(ka.unitary_images(B, [s + 1 for s in seeds]))
+            comp = ka.kahler_profiles(ka._complement_rows(B, 2 * m))
+            for t, seed, got_conj, got_comp in zip(idx, seeds, conj, comp):
+                assert draws[t] == {"m": m, "k": k, "seed": seed}
+                W = oracle.random_subspace(m, k, seed)
+                assert same_profile(got_conj, oracle.kahler_profile(oracle.unitary_conjugate(W, seed + 1)))
+                assert same_profile(got_comp, oracle.kahler_profile(oracle.complement(W)))
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 7, 19, 42, 101, 2024])
+    def test_suite_equals_per_trial_oracle(self, seed):
+        config = RunConfig(seed=seed)
+        assert _suite_kahler(config).to_dict() == oracle.suite_kahler(config).to_dict()
