@@ -60,7 +60,7 @@ v = W.w_perp_basis.T @ coef
 v /= np.linalg.norm(v)
 xi = ANVector(0.0, v[0::2] + 1j * v[1::2], 0.0, c)
 S = numeric_shape_operator(spec, xi)
-evals = np.sort(np.linalg.eigvalsh(0.5 * (S.matrix + S.matrix.T)))
+evals = np.sort(np.linalg.eigvalsh(0.5 * (S + S.T)))
 roots = tube_char_roots(n, W.k, r, normal_kahler_angle(W, xi), c)
 print(f"  max |eigenvalue - root| = {np.abs(evals - roots).max():.2e}")
 

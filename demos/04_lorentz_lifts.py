@@ -46,8 +46,8 @@ for fam in ("tube-chk", "horosphere", "tube-rhn"):
     print(f"  {fam:12s} -> type {cls.jtype:3s}{extra}; round trip reproduces spectrum: {ok}")
 
 print("\nThe horosphere block, written out (n = 2):")
-lifted = lift_shape_operator(hopf_lift_data(standard_spectrum("horosphere", 2, c=c), c))
-print(np.array_str(lifted.matrix, precision=3, suppress_small=True))
+lifted, _ = lift_shape_operator(hopf_lift_data(standard_spectrum("horosphere", 2, c=c), c))
+print(np.array_str(lifted, precision=3, suppress_small=True))
 print("  eigenvalue 1 has algebraic multiplicity 4 but geometric 3: one Jordan block")
 
 print("\nA W_w tube at a normal direction of intermediate angle -> type III:")

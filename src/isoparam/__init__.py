@@ -43,17 +43,7 @@ from .hopf_lift import (
     project_spectrum,
     tube_lift_data,
 )
-from .indefinite_linalg import (
-    JordanClassification,
-    LorentzForm,
-    ScalarProduct,
-    SelfAdjointOperator,
-    classify_jordan,
-    euclidean_form,
-    inner,
-    is_self_adjoint,
-    minkowski_form,
-)
+from .indefinite_linalg import JordanClassification, classify_jordan
 from .kahler_angle import (
     KahlerProfile,
     RealSubspace,

@@ -1,6 +1,7 @@
-"""Exception types shared across the library, and the curvature check."""
+"""Exception types shared across the library, and the curvature and seed checks."""
 
 import math
+import numbers
 
 
 class IsoparamError(Exception):
@@ -14,8 +15,10 @@ class DimensionMismatch(IsoparamError):
 class NondiagnosableOperator(IsoparamError):
     """The eigenstructure matches none of the Lorentzian canonical forms.
 
-    Usually signals an operator that is not self-adjoint for the given
-    scalar product, or tolerances that are too tight for the data.
+    The input has passed the entry checks of classify_jordan, so this
+    signals eigenvalues that the fixed tolerances of indefinite_linalg
+    cannot separate or merge: near-coincident values or a nearly
+    defective block.
     """
 
 
@@ -67,3 +70,10 @@ def check_curvature(c: float):
     """Raise ValueError unless the ambient curvature c is finite and negative."""
     if not -math.inf < c < 0:  # also rejects NaN
         raise ValueError(f"curvature c must be negative and finite, got {c}")
+
+
+def check_seed(seed):
+    """Raise ValueError unless seed is a non-negative integer, as numpy
+    seeds its generators."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")

@@ -40,14 +40,8 @@ from .errors import (
     NondiagnosableOperator,
     check_curvature,
 )
-from .indefinite_linalg import (
-    JORDAN_TOL,
-    JordanClassification,
-    LorentzForm,
-    SelfAdjointOperator,
-    classify_jordan,
-)
-from .tube_geometry import TubeSpectrum, spectrum_from_values
+from .indefinite_linalg import JORDAN_TOL, JordanClassification, classify_jordan
+from .tube_geometry import TubeSpectrum, spectrum_from_values, tube_operator_frame
 
 
 def ads_inner(z, w) -> float:
@@ -102,8 +96,6 @@ def tube_lift_data(spec, xi) -> LiftedShapeData:
     pi/2, so b is computed from the numeric shape operator: its principal
     frame together with the parallel-transported -J xi.
     """
-    from .tube_geometry import tube_operator_frame
-
     S, u = tube_operator_frame(spec, xi)
     evals, evecs = np.linalg.eigh(0.5 * (S + S.T))
     b = evecs.T @ (-u)
@@ -123,15 +115,16 @@ def _arrowhead(values, border, s0):
     return M, signs
 
 
-def lift_shape_operator(data: LiftedShapeData) -> SelfAdjointOperator:
-    """The bordered (2n x 2n) lifted shape operator.
+def lift_shape_operator(data: LiftedShapeData) -> tuple[np.ndarray, np.ndarray]:
+    """(M, gram): the bordered (2n x 2n) lifted shape operator and its Gram.
 
     Diagonal: the downstairs curvatures.  Last column -b_i sqrt(-c)/2,
-    last row +b_i sqrt(-c)/2, corner 0.  Self-adjoint for diag(1,...,1,-1);
-    its trace equals the downstairs mean curvature exactly.
+    last row +b_i sqrt(-c)/2, corner 0.  Self-adjoint for the Gram
+    diag(1,...,1,-1), so classify_jordan(*lift_shape_operator(data)) types
+    it; its trace equals the downstairs mean curvature exactly.
     """
     M, signs = _arrowhead(data.spectrum_down.expanded(), data.b, np.sqrt(-data.c) / 2)
-    return SelfAdjointOperator(LorentzForm(len(signs), np.diag(signs)), M)
+    return M, np.diag(signs)
 
 
 def _reflect(seg: np.ndarray, H: np.ndarray) -> float:
@@ -182,7 +175,7 @@ def classify_lift(data: LiftedShapeData) -> JordanClassification:
         [_reflect(data.b[s:s + L], Q[s:s + L, s:s + L]) for s, L in zip(starts, runs)]
     )
     block, signs = _arrowhead(values, border, s0)
-    small = classify_jordan(SelfAdjointOperator(LorentzForm(len(signs), np.diag(signs)), block))
+    small = classify_jordan(block, np.diag(signs))
 
     # embed: [value, alg, geo, column blocks] per eigenvalue
     lead = small.dim - len(small.diag)  # the canonical block's columns
@@ -222,8 +215,7 @@ def classify_lift(data: LiftedShapeData) -> JordanClassification:
 
     # the guard of classify_jordan's last rung, on the full bordered matrix
     M, signs = _arrowhead(data.spectrum_down.expanded(), data.b, s0)
-    gram_err = np.abs(basis.T @ (signs[:, None] * basis) - cls.canonical_gram()).max()
-    shape_err = np.abs(M @ basis - basis @ cls.canonical_matrix()).max()
+    gram_err, shape_err = cls.residuals(M, signs)
     scale = 1.0 + np.abs(M).max()
     if not max(gram_err, shape_err) / scale <= 100 * JORDAN_TOL * scale:
         raise NondiagnosableOperator(

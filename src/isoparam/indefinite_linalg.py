@@ -1,8 +1,9 @@
-"""Linear algebra over Lorentzian scalar products.
+"""Jordan types of operators self-adjoint for a Lorentzian scalar product.
 
-Inner products of signature (1, m-1), self-adjointness tests, and the
-classification of self-adjoint operators into the four Jordan canonical
-shapes that can occur in Lorentzian signature:
+classify_jordan takes a square matrix A and the Gram matrix of a scalar
+product of signature (1, m-1), as plain float arrays, and checks them once
+on entry.  A self-adjoint operator (gram @ A symmetric) takes one of the
+four Jordan canonical shapes that can occur in Lorentzian signature:
 
     I   diagonalizable, orthonormal basis (first vector timelike),
     II  one 2x2 Jordan block (eigenvalue defect 1), semi-null basis,
@@ -22,113 +23,10 @@ import numpy as np
 
 from .errors import DimensionMismatch, NondiagnosableOperator
 
-DEFAULT_TOL = 1e-8
+RANK_TOL = 1e-8  # kernel singular values, times 1 + max|A|
 SELF_ADJOINT_TOL = 1e-10
 MERGE_TOL = 1e-7  # first rung of the eigenvalue merge ladder, times 1 + max|A|
 JORDAN_TOL = 1e-4  # last rung of the ladder, times 1 + max|A|
-
-
-def _as_matrix(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-@dataclass(frozen=True)
-class ScalarProduct:
-    """A nondegenerate symmetric bilinear form on R^dim, given by its Gram matrix."""
-
-    dim: int
-    gram: np.ndarray
-
-    def __post_init__(self):
-        gram = _as_matrix(self.gram)
-        if gram.shape[0] != self.dim:
-            raise DimensionMismatch("gram size does not match dim")
-        scale = 1 + np.abs(gram).max()
-        if not np.allclose(gram, gram.T, atol=1e-12 * scale):
-            raise ValueError("gram matrix must be symmetric")
-        # the singular values of a symmetric matrix are its |eigenvalues|
-        if np.abs(np.linalg.eigvalsh(gram)).min() <= 1e-12 * scale:
-            raise ValueError("gram matrix is degenerate")
-        object.__setattr__(self, "gram", gram)
-
-    @property
-    def signature(self) -> tuple[int, int]:
-        """(negative, positive) eigenvalue counts of the Gram matrix."""
-        eigs = np.linalg.eigvalsh(self.gram)
-        neg = int((eigs < 0).sum())
-        return neg, self.dim - neg
-
-
-class LorentzForm(ScalarProduct):
-    """A scalar product of Lorentzian signature (1, dim-1)."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        neg, _ = self.signature
-        if neg != 1:
-            raise ValueError(
-                f"expected signature (1, {self.dim - 1}), got {neg} negative directions"
-            )
-
-
-def euclidean_form(dim: int) -> ScalarProduct:
-    """The standard positive-definite scalar product on R^dim."""
-    return ScalarProduct(dim, np.eye(dim))
-
-
-def minkowski_form(dim: int, negative_index: int = 0) -> LorentzForm:
-    """diag(+1, ..., +1) with a single -1 at negative_index."""
-    d = np.ones(dim)
-    d[negative_index] = -1.0
-    return LorentzForm(dim, np.diag(d))
-
-
-def inner(form: ScalarProduct, x, y) -> float:
-    """Evaluate the bilinear form: x^T gram y."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (form.dim,) or y.shape != (form.dim,):
-        raise DimensionMismatch("vector length does not match form.dim")
-    return float(x @ form.gram @ y)
-
-
-def is_self_adjoint(form: ScalarProduct, A, tol: float = SELF_ADJOINT_TOL) -> bool:
-    """True iff gram@A is symmetric, relative to its own max norm.
-
-    <Ax, y> = <x, Ay> for all x, y is equivalent to gram@A symmetric.
-    """
-    A = _as_matrix(A)
-    if A.shape[0] != form.dim:
-        raise DimensionMismatch("matrix size does not match form.dim")
-    GA = form.gram @ A
-    scale = np.abs(GA).max()
-    if scale == 0.0:
-        return True
-    return bool(np.abs(GA - GA.T).max() <= tol * scale)
-
-
-@dataclass(frozen=True)
-class SelfAdjointOperator:
-    """An operator self-adjoint with respect to a scalar product."""
-
-    form: ScalarProduct
-    matrix: np.ndarray
-    tol: float = SELF_ADJOINT_TOL
-
-    def __post_init__(self):
-        mat = _as_matrix(self.matrix)
-        if mat.shape[0] != self.form.dim:
-            raise DimensionMismatch("matrix size does not match form.dim")
-        if not is_self_adjoint(self.form, mat, self.tol):
-            raise ValueError("matrix is not self-adjoint for the given form")
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.form.dim
 
 
 @dataclass(frozen=True)
@@ -197,21 +95,38 @@ class JordanClassification:
             G[0, 1] = G[1, 0] = 1.0
         return G
 
+    def residuals(self, A, gram) -> tuple[float, float]:
+        """Max-norm reconstruction residuals of A and gram in adapted_basis B:
+        (|B^T gram B - canonical_gram()|, |A B - B canonical_matrix()|).
+        A diagonal gram may be given as its 1-D diagonal."""
+        B = self.adapted_basis
+        BtG = B.T * gram if gram.ndim == 1 else B.T @ gram
+        return (
+            float(np.abs(BtG @ B - self.canonical_gram()).max()),
+            float(np.abs(A @ B - B @ self.canonical_matrix()).max()),
+        )
+
 
 # ---------------------------------------------------------------------------
 # classification
 
 
-def classify_jordan(op: SelfAdjointOperator, tol: float = DEFAULT_TOL) -> JordanClassification:
-    """Classify a Lorentz-self-adjoint operator into its canonical type.
+def classify_jordan(A, gram) -> JordanClassification:
+    """Classify an operator self-adjoint for a Lorentzian scalar product.
+
+    A and gram are square float arrays of one size.  gram must be symmetric
+    and nondegenerate with exactly one negative eigenvalue, and gram @ A
+    symmetric within SELF_ADJOINT_TOL of its largest entry; NaN and inf
+    fail these checks.  A wrong size raises DimensionMismatch, any other
+    failed check ValueError.
 
     Eigenvalues come from the plain unsymmetric eigenproblem and are merged
     at MERGE_TOL * (1 + max|A|).  The kernel of A - lambda I is spanned by
     the right singular vectors whose singular values are at or below
-    tol * (1 + max|A|); its width is the geometric multiplicity of lambda.
-    If the first pass matches no canonical shape the eigenvalues are
-    re-merged at a ladder of coarser scales, each 5 times the last, up to
-    JORDAN_TOL * (1 + max|A|): a numerically assembled 3x3 Jordan block
+    RANK_TOL * (1 + max|A|); its width is the geometric multiplicity of
+    lambda.  If the first pass matches no canonical shape the eigenvalues
+    are re-merged at a ladder of coarser scales, each 5 times the last, up
+    to JORDAN_TOL * (1 + max|A|): a numerically assembled 3x3 Jordan block
     splits its eigenvalue at the cube root of the backward error, far
     beyond any first-pass tolerance, and the kernel widths then settle the
     structure.  The ladder keeps nearby distinct eigenvalues apart as long
@@ -221,10 +136,30 @@ def classify_jordan(op: SelfAdjointOperator, tol: float = DEFAULT_TOL) -> Jordan
     Raises NondiagnosableOperator when no canonical shape fits at any
     scale.
     """
-    A = op.matrix
+    A = np.asarray(A, dtype=float)
+    G = np.asarray(gram, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or G.shape != A.shape:
+        raise DimensionMismatch(f"need square matrices of one size, got {A.shape}, {G.shape}")
+    n = A.shape[0]
     scale = 1.0 + np.abs(A).max()
+    g_scale = 1.0 + np.abs(G).max()
+    if not (scale < np.inf and g_scale < np.inf):  # also rejects NaN
+        raise ValueError("matrix and gram must be finite")
+    if not np.abs(G - G.T).max() <= 1e-12 * g_scale:
+        raise ValueError("gram matrix must be symmetric")
+    # the singular values of a symmetric matrix are its |eigenvalues|
+    g_eigs = np.linalg.eigvalsh(G)
+    if not np.abs(g_eigs).min() > 1e-12 * g_scale:
+        raise ValueError("gram matrix is degenerate")
+    neg = int((g_eigs < 0).sum())
+    if neg != 1:
+        raise ValueError(f"expected signature (1, {n - 1}), got {neg} negative directions")
+    GA = G @ A
+    if not np.abs(GA - GA.T).max() <= SELF_ADJOINT_TOL * np.abs(GA).max():
+        raise ValueError("matrix is not self-adjoint for the given gram")
+
     jordan_tol = JORDAN_TOL * scale
-    rank_threshold = tol * scale
+    rank_threshold = RANK_TOL * scale
 
     w = np.linalg.eig(A)[0]
 
@@ -238,10 +173,10 @@ def classify_jordan(op: SelfAdjointOperator, tol: float = DEFAULT_TOL) -> Jordan
     # kernels until the cyclic garbage collector runs
     for merge_tol in ladder[:-1]:
         try:
-            return _classify_pass(op, w, merge_tol, rank_threshold, kernels)
+            return _classify_pass(A, G, w, merge_tol, rank_threshold, kernels)
         except NondiagnosableOperator:
             pass
-    return _classify_pass(op, w, ladder[-1], rank_threshold, kernels)
+    return _classify_pass(A, G, w, ladder[-1], rank_threshold, kernels)
 
 
 def cluster(values, tol) -> list:
@@ -332,12 +267,11 @@ def _kernel_complement(K, G, chain_null, chain_unit):
     return q[:, : K.shape[1] - 1]
 
 
-def _classify_pass(op: SelfAdjointOperator, w, merge_tol, rank_threshold, kernels):
-    """One rung of the ladder.  kernels maps each cluster center already
-    factored in this classify_jordan call to its kernel; new ones are added."""
-    A = op.matrix
-    G = op.form.gram
-    n = op.dim
+def _classify_pass(A, G, w, merge_tol, rank_threshold, kernels):
+    """One rung of the ladder on the checked arrays A and G, with w the
+    eigenvalues of A.  kernels maps each cluster center already factored in
+    this classify_jordan call to its kernel; new ones are added."""
+    n = A.shape[0]
 
     complex_pair, real_clusters = _split_spectrum(w, merge_tol)
 
@@ -383,8 +317,7 @@ def _classify_pass(op: SelfAdjointOperator, w, merge_tol, rank_threshold, kernel
         diag=tuple(diag),
         dim=n,
     )
-    gram_err = np.abs(basis.T @ G @ basis - cls.canonical_gram()).max()
-    shape_err = np.abs(A @ basis - basis @ cls.canonical_matrix()).max()
+    gram_err, shape_err = cls.residuals(A, G)
     # 100 merge_tol (1 + max|A|), with the scale divided out: merge_tol
     # already carries it, and the product overflows once max|A| > ~1e150
     scale = 1 + np.abs(A).max()

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, VectorNotInSubspace
+from .errors import DimensionMismatch, VectorNotInSubspace, check_seed
 from .indefinite_linalg import cluster
 
 ANGLE_TOL = 1e-7  # clustering tolerance for angles, radians
@@ -253,6 +253,7 @@ def random_subspace(m: int, k: int, seed: int) -> RealSubspace:
 
     Deterministic in the seed.
     """
+    check_seed(seed)
     return RealSubspace(m, random_bases(m, k, [seed])[0])
 
 
@@ -292,6 +293,7 @@ def unitary_images(bases: np.ndarray, seeds) -> np.ndarray:
 
 def unitary_conjugate(W: RealSubspace, seed: int) -> RealSubspace:
     """Image of W under a Haar-random unitary transformation of C^m."""
+    check_seed(seed)
     return RealSubspace(W.ambient_cdim, unitary_images(W.basis[None], [seed])[0])
 
 

@@ -31,7 +31,7 @@ from .errors import (
     NotNormal,
     check_curvature,
 )
-from .indefinite_linalg import SelfAdjointOperator, cluster, euclidean_form
+from .indefinite_linalg import cluster
 from .kahler_angle import apply_J
 from .solvable_model import NORMAL_TOL, ANVector, SubmanifoldW, _galpha_flat
 
@@ -103,6 +103,12 @@ def spectrum_from_values(values, **kw) -> TubeSpectrum:
     return TubeSpectrum(_merged_entries(values, np.ones(values.size)), **kw)
 
 
+def _check_radius(r):
+    """Raise FocalRadius unless the tube radius r is positive and finite."""
+    if r is None or not 0 < r < np.inf:  # also rejects NaN
+        raise FocalRadius("tube radius must be positive and finite")
+
+
 @dataclass(frozen=True)
 class TubeSpec:
     """A tube of radius r around a submanifold W_w."""
@@ -111,8 +117,7 @@ class TubeSpec:
     r: float
 
     def __post_init__(self):
-        if not 0 < self.r < np.inf:  # also rejects NaN
-            raise FocalRadius("tube radius must be positive and finite")
+        _check_radius(self.r)
 
     @property
     def n(self) -> int:
@@ -196,8 +201,7 @@ def _char_factors(n: int, k: int, r: float, phi: float, c: float):
     (lam, mu, the angle factor, power of (lam - x), power of (mu - x))."""
     if n < 2 or not 1 <= k <= 2 * n - 3:
         raise InvalidCodimension(f"need n >= 2 and 1 <= k <= 2n-3, got n={n}, k={k}")
-    if not 0 < r < np.inf:  # also rejects NaN
-        raise FocalRadius("tube radius must be positive and finite")
+    _check_radius(r)
     check_curvature(c)
     if not 0 <= phi <= np.pi / 2 + 1e-12:
         raise ValueError("phi must lie in [0, pi/2]")
@@ -287,12 +291,9 @@ def standard_spectrum(example: str, n: int, r: float = None, c: float = -4.0, k:
         raise InvalidK(f"unknown example {example!r}")
     if example == "tube-chk" and (k is None or not 0 <= k <= n - 1):
         raise InvalidK(f"tube-chk needs 0 <= k <= n-1, got {k}")
-    if example == "horosphere":  # it ignores r, but an r that is given is finite
-        valid = r is None or np.isfinite(r)
-    else:
-        valid = r is not None and 0 < r < np.inf  # also rejects NaN
-    if not valid:
-        raise FocalRadius("tube radius must be positive and finite")
+    # the horosphere ignores r, but an r that is given is finite
+    if example != "horosphere" or (r is not None and not np.isfinite(r)):
+        _check_radius(r)
     s0 = np.sqrt(-c) / 2
     with np.errstate(over="ignore", divide="ignore"):
         if example == "horosphere":
@@ -355,7 +356,7 @@ def tube_spectrum_at(spec: TubeSpec, xi: ANVector) -> TubeSpectrum:
     return spectrum_from_values(roots)
 
 
-def numeric_shape_operator(spec: TubeSpec, xi: ANVector) -> SelfAdjointOperator:
+def numeric_shape_operator(spec: TubeSpec, xi: ANVector) -> np.ndarray:
     """Shape operator of the tube at gamma_xi(r), assembled from Jacobi fields.
 
     Tangent generators evolve with initial data (X, -A_xi X), normal ones
@@ -363,9 +364,14 @@ def numeric_shape_operator(spec: TubeSpec, xi: ANVector) -> SelfAdjointOperator:
     the rest (curvature c/4) in a parallel frame, and the operator with
     respect to the inward normal is recovered from the derivative of the
     evolved frame.  Its eigenvalues match tube_char_roots.
+
+    Returns the (2n-1) x (2n-1) matrix in an orthonormal frame; ValueError
+    unless it is symmetric within 1e-8 of its largest entry.
     """
     S, _ = tube_operator_frame(spec, xi)
-    return SelfAdjointOperator(euclidean_form(S.shape[0]), S, tol=1e-8)
+    if not np.abs(S - S.T).max() <= 1e-8 * np.abs(S).max():
+        raise ValueError("shape operator is not symmetric")
+    return S
 
 
 def tube_operator_frame(spec: TubeSpec, xi: ANVector):

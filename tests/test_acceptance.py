@@ -308,7 +308,7 @@ def test_11_numeric_vs_formula_and_verify_runtime():
         spec = iso.TubeSpec(W, float(rng.uniform(0.2, 2.5)))
         xi = normal_vector(W, rng.standard_normal(k))
         S = iso.numeric_shape_operator(spec, xi)
-        evals = np.sort(np.linalg.eigvalsh(0.5 * (S.matrix + S.matrix.T)))
+        evals = np.sort(np.linalg.eigvalsh(0.5 * (S + S.T)))
         roots = iso.tube_char_roots(n, k, spec.r, iso.normal_kahler_angle(W, xi), -4.0)
         assert np.abs(evals - roots).max() <= 1e-8
     start = time.perf_counter()

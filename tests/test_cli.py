@@ -242,6 +242,13 @@ class TestDeterminismAndErrors:
         cartan_combined = [s for s in combined["suites"] if s["suite"] == "cartan"][0]
         assert cartan_alone == cartan_combined
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0])
+    def test_run_config_rejects_bad_seed(self, seed):
+        from isoparam import RunConfig
+
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
+            RunConfig(seed=seed)
+
     def test_usage_error(self, capsys):
         code, out = run_cli(capsys, "classify")
         assert code == EXIT_USAGE

@@ -49,11 +49,11 @@ class TestLiftMatrix:
         # (2 - x)(-x) + 1 = (x - 1)^2
         spec = standard_spectrum("horosphere", 2, c=C)
         lifted = lift_shape_operator(hopf_lift_data(spec, C))
-        A = lifted.matrix
+        A, _ = lifted
         block = A[2:, 2:]
         assert np.allclose(block, [[2.0, -1.0], [1.0, 0.0]])
         assert np.allclose(np.poly(block), [1.0, -2.0, 1.0])
-        cls = classify_jordan(lifted)
+        cls = classify_jordan(*lifted)
         assert cls.jtype == "II"
         assert cls.real_eigs == ((1.0, 4, 3),)
 
@@ -61,12 +61,12 @@ class TestLiftMatrix:
         # oracle: numeric eigendecomposition of the lifted matrix
         spec = standard_spectrum("tube-chk", 3, r=1.2, c=C, k=1)
         lifted = lift_shape_operator(hopf_lift_data(spec, C))
-        w = np.sort(np.linalg.eigvals(lifted.matrix).real)
+        w = np.sort(np.linalg.eigvals(lifted[0]).real)
         lam, mu = np.tanh(1.2), 1 / np.tanh(1.2)
         assert abs(lam * mu - (-C / 4)) < 1e-12
         expect = np.sort([lam] * 3 + [mu] * 3)
         assert np.abs(w - expect).max() < 1e-10
-        cls = classify_jordan(lifted)
+        cls = classify_jordan(*lifted)
         assert cls.jtype == "I"
         assert {a for _, a, _ in cls.real_eigs} == {3}
 
@@ -74,7 +74,7 @@ class TestLiftMatrix:
         r = 0.8
         spec = standard_spectrum("tube-rhn", 3, r=r, c=C)
         lifted = lift_shape_operator(hopf_lift_data(spec, C))
-        w = np.linalg.eigvals(lifted.matrix)
+        w = np.linalg.eigvals(lifted[0])
         pair = w[np.abs(w.imag) > 1e-8]
         assert len(pair) == 2
         a = float(pair.real.mean())
@@ -82,7 +82,7 @@ class TestLiftMatrix:
         lam = np.tanh(r)
         assert abs(2 * a - 4 * C * lam / (C - 4 * lam**2)) < 1e-10
         assert abs(4 * a**2 + 4 * b**2 + C) < 1e-10
-        cls = classify_jordan(lifted)
+        cls = classify_jordan(*lifted)
         assert cls.jtype == "IV"
 
     def test_self_adjoint_and_trace(self):
@@ -92,11 +92,10 @@ class TestLiftMatrix:
             fam = ["tube-chk", "horosphere", "tube-rhn"][int(rng.integers(3))]
             k = int(rng.integers(0, n)) if fam == "tube-chk" else None
             spec = standard_spectrum(fam, n, r=float(rng.uniform(0.2, 2.5)), c=C, k=k)
-            lifted = lift_shape_operator(hopf_lift_data(spec, C))
-            G = lifted.form.gram
-            GA = G @ lifted.matrix
+            A, G = lift_shape_operator(hopf_lift_data(spec, C))
+            GA = G @ A
             assert np.abs(GA - GA.T).max() < 1e-12
-            assert abs(np.trace(lifted.matrix) - spec.trace()) < 1e-12
+            assert abs(np.trace(A) - spec.trace()) < 1e-12
 
     def test_b_must_be_unit(self):
         spec = standard_spectrum("horosphere", 2, c=C)
@@ -269,13 +268,13 @@ def test_lift_types_at_benchmark_sizes(n):
             data = w_tube_lift(n, r, k_perp, seed=n)
         else:
             data = hopf_lift_data(standard_spectrum(family, n, r=r, c=C, k=k), C)
-        op = lift_shape_operator(data)
-        cls = classify_jordan(op)
+        A, gram = lift_shape_operator(data)
+        cls = classify_jordan(A, gram)
         assert cls.jtype == jtype
         assert [(alg, geo) for _, alg, geo in cls.real_eigs] == mults
-        B = cls.adapted_basis
-        assert np.abs(B.T @ op.form.gram @ B - cls.canonical_gram()).max() <= 1e-9
-        assert np.abs(op.matrix @ B - B @ cls.canonical_matrix()).max() <= 1e-9
+        gram_err, shape_err = cls.residuals(A, gram)
+        assert gram_err <= 1e-9
+        assert shape_err <= 1e-9
 
 
 def test_each_cluster_center_factored_once(monkeypatch):
@@ -287,7 +286,7 @@ def test_each_cluster_center_factored_once(monkeypatch):
     classify_pass, kernel = il._classify_pass, il._kernel
     monkeypatch.setattr(il, "_classify_pass", lambda *a: passes.append(1) or classify_pass(*a))
     monkeypatch.setattr(il, "_kernel", lambda A, v, t: centers.append(v) or kernel(A, v, t))
-    cls = classify_jordan(lift_shape_operator(w_tube_lift(10, 0.7, 16, seed=10)))
+    cls = classify_jordan(*lift_shape_operator(w_tube_lift(10, 0.7, 16, seed=10)))
     assert cls.jtype == "III"
     assert len(passes) > 1
     assert len(centers) == len(set(centers))
@@ -312,7 +311,7 @@ def test_deflated_lift_matches_full_classification(n):
     for r in ([0.05, 0.7, 2.5] if n <= 30 else [0.7]):
         for family, data in lift_cases(n, r):
             op = lift_shape_operator(data)
-            want, got = classify_jordan(op), classify_lift(data)
+            want, got = classify_jordan(*op), classify_lift(data)
             assert got.jtype == want.jtype, (family, r)
             assert [(a, g) for _, a, g in got.real_eigs] == [(a, g) for _, a, g in want.real_eigs]
             assert got.epsilon == want.epsilon
@@ -323,16 +322,10 @@ def test_deflated_lift_matches_full_classification(n):
             assert len(got.diag) == len(want.diag)
             for u, v in pairs:
                 assert abs(u - v) <= 1e-12 * abs(v), (family, r, u, v)
-            B = got.adapted_basis
-            gram_err = np.abs(B.T @ op.form.gram @ B - got.canonical_gram()).max()
-            shape_err = np.abs(op.matrix @ B - B @ got.canonical_matrix()).max()
-            got_err = max(gram_err, shape_err)
+            got_err = max(got.residuals(*op))
             if family != "w-tube":
                 assert got_err <= 1e-9, (family, r)
-            B = want.adapted_basis
-            gram_err = np.abs(B.T @ op.form.gram @ B - want.canonical_gram()).max()
-            shape_err = np.abs(op.matrix @ B - B @ want.canonical_matrix()).max()
-            assert got_err <= 10 * max(gram_err, shape_err) + 1e-12, (family, r)
+            assert got_err <= 10 * max(want.residuals(*op)) + 1e-12, (family, r)
 
 
 @pytest.mark.parametrize("r", [0.3, 0.7, 1.5])

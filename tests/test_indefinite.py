@@ -1,26 +1,21 @@
-"""Tests for Lorentzian scalar products and Jordan-type classification."""
+"""Tests for Jordan-type classification over Lorentzian scalar products."""
 
 import numpy as np
 import pytest
 
-from isoparam import (
-    DimensionMismatch,
-    LorentzForm,
-    NondiagnosableOperator,
-    ScalarProduct,
-    SelfAdjointOperator,
-    classify_jordan,
-    euclidean_form,
-    inner,
-    is_self_adjoint,
-    minkowski_form,
-)
-from isoparam.indefinite_linalg import cluster
+from isoparam import DimensionMismatch, NondiagnosableOperator, classify_jordan
+from isoparam.indefinite_linalg import MERGE_TOL, _classify_pass, cluster
 
 
-def random_self_adjoint(rng, form, scale=1.0):
-    S = scale * rng.standard_normal((form.dim, form.dim))
-    return np.linalg.solve(form.gram, 0.5 * (S + S.T))
+def minkowski(dim):
+    """diag(-1, 1, ..., 1)."""
+    return np.diag([-1.0] + [1.0] * (dim - 1))
+
+
+def random_self_adjoint(rng, gram, scale=1.0):
+    dim = gram.shape[0]
+    S = scale * rng.standard_normal((dim, dim))
+    return np.linalg.solve(gram, 0.5 * (S + S.T))
 
 
 def random_isometry(rng, gram, scale=0.3):
@@ -35,58 +30,80 @@ def random_isometry(rng, gram, scale=0.3):
 
 
 class TestForms:
-    def test_timelike_unit_vector(self):
-        form = minkowski_form(2)
-        assert inner(form, [1, 0], [1, 0]) == -1.0
-
-    def test_seminull_pairing(self):
-        form = LorentzForm(2, [[0, 1], [1, 0]])
-        assert inner(form, [1, 0], [0, 1]) == 1.0
-
-    def test_inner_symmetry_matches_transpose_evaluation(self):
-        rng = np.random.default_rng(0)
-        form = LorentzForm(4, np.diag([-1.0, 1.0, 2.0, 0.5]))
-        for _ in range(50):
-            x, y = rng.standard_normal(4), rng.standard_normal(4)
-            # oracle: evaluate the transposed expression directly
-            direct = float(y @ form.gram.T @ x)
-            assert abs(inner(form, x, y) - inner(form, y, x)) < 1e-12
-            assert abs(inner(form, x, y) - direct) < 1e-12
+    """The Gram checks at the entry of classify_jordan."""
 
     def test_signature_enforced(self):
-        with pytest.raises(ValueError):
-            LorentzForm(2, np.eye(2))
-        with pytest.raises(ValueError):
-            LorentzForm(3, np.diag([-1.0, -1.0, 1.0]))
-        # degenerate gram rejected
-        with pytest.raises(ValueError):
-            ScalarProduct(2, [[1, 1], [1, 1]])
+        with pytest.raises(ValueError, match="signature"):
+            classify_jordan(np.eye(2), np.eye(2))
+        with pytest.raises(ValueError, match="signature"):
+            classify_jordan(np.eye(3), np.diag([-1.0, -1.0, 1.0]))
+
+    def test_degenerate_gram_rejected(self):
+        with pytest.raises(ValueError, match="degenerate"):
+            classify_jordan(np.eye(2), [[1, 1], [1, 1]])
+        with pytest.raises(ValueError, match="degenerate"):
+            classify_jordan(np.eye(3), np.diag([-1.0, 0.0, 1.0]))
+
+    def test_asymmetric_gram_rejected(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            classify_jordan(np.eye(2), [[-1.0, 0.5], [0.0, 1.0]])
 
     def test_dimension_mismatch(self):
-        form = minkowski_form(3)
         with pytest.raises(DimensionMismatch):
-            inner(form, [1, 0], [0, 1])
+            classify_jordan(np.eye(2), minkowski(3))
+        with pytest.raises(DimensionMismatch):
+            classify_jordan(np.ones((2, 3)), np.ones((2, 3)))
+        with pytest.raises(DimensionMismatch):
+            classify_jordan(np.ones(2), minkowski(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gram_rejected(self, bad):
+        for i, j in [(0, 0), (0, 1), (1, 1)]:
+            gram = minkowski(2)
+            gram[i, j] = gram[j, i] = bad
+            with pytest.raises(ValueError):
+                classify_jordan(np.eye(2), gram)
+        gram = minkowski(2)
+        gram[0, 1] = bad  # and asymmetric
+        with pytest.raises(ValueError):
+            classify_jordan(np.eye(2), gram)
 
 
 class TestSelfAdjoint:
+    """The self-adjointness check at the entry of classify_jordan."""
+
     def test_identity_always_self_adjoint(self):
-        for form in (minkowski_form(3), euclidean_form(4), LorentzForm(2, [[0, 1], [1, 0]])):
-            assert is_self_adjoint(form, np.eye(form.dim))
+        for gram in (minkowski(3), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, 2.0, -0.5])):
+            cls = classify_jordan(np.eye(gram.shape[0]), gram)
+            assert cls.jtype == "I"
+            assert cls.real_eigs == ((1.0, gram.shape[0], gram.shape[0]),)
 
     def test_rotation_self_adjoint_for_lorentz(self):
         # oracle: gram @ A = [[0, -1], [-1, 0]] is symmetric
-        form = minkowski_form(2)
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        GA = form.gram @ A
+        GA = minkowski(2) @ A
         assert np.allclose(GA, GA.T)
-        assert is_self_adjoint(form, A)
+        assert classify_jordan(A, minkowski(2)).jtype == "IV"
 
-    def test_shear_not_self_adjoint_for_euclidean(self):
-        assert not is_self_adjoint(euclidean_form(2), [[0, 1], [0, 0]])
+    def test_non_self_adjoint_rejected(self):
+        # oracle: gram @ A = [[0, -1], [0, 0]] is not symmetric
+        with pytest.raises(ValueError, match="self-adjoint"):
+            classify_jordan([[0, 1], [0, 0]], minkowski(2))
+        # symmetric, but not self-adjoint for the Lorentzian gram
+        with pytest.raises(ValueError, match="self-adjoint"):
+            classify_jordan([[0, 1], [1, 0]], minkowski(2))
 
-    def test_operator_constructor_rejects(self):
-        with pytest.raises(ValueError):
-            SelfAdjointOperator(euclidean_form(2), [[0, 1], [0, 0]])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_operator_rejected(self, bad):
+        for gram in (minkowski(3), np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])):
+            for i, j in [(0, 0), (0, 1), (2, 2)]:
+                A = np.eye(3)
+                A[i, j] = bad
+                with pytest.raises(ValueError):
+                    classify_jordan(A, gram)
+                A[j, i] = bad
+                with pytest.raises(ValueError):
+                    classify_jordan(A, gram)
 
 
 def seminull_type_iii_operator():
@@ -95,7 +112,7 @@ def seminull_type_iii_operator():
     A = np.zeros((3, 3))
     A[2, 1] = 1.0  # e2 -> e3
     A[0, 2] = 1.0  # e3 -> e1
-    return LorentzForm(3, gram), A
+    return gram, A
 
 
 def lifted_horosphere_operator(n=2, c=-4.0):
@@ -107,34 +124,33 @@ def lifted_horosphere_operator(n=2, c=-4.0):
     A[m - 1, m] = -s0
     A[m, m - 1] = s0
     gram = np.diag([1.0] * m + [-1.0])
-    return LorentzForm(m + 1, gram), A
+    return gram, A
 
 
 class TestClassifyJordan:
     def test_identity_is_type_i(self):
-        op = SelfAdjointOperator(minkowski_form(3), np.eye(3))
-        cls = classify_jordan(op)
+        cls = classify_jordan(np.eye(3), minkowski(3))
         assert cls.jtype == "I"
         assert cls.real_eigs == ((1.0, 3, 3),)
 
     def test_seminull_shift_is_type_iii(self):
-        form, A = seminull_type_iii_operator()
+        gram, A = seminull_type_iii_operator()
         # oracle: A^2 != 0 and A^3 = 0 by direct multiplication
         assert np.abs(A @ A).max() > 0.5
         assert np.abs(A @ A @ A).max() == 0.0
-        cls = classify_jordan(SelfAdjointOperator(form, A))
+        cls = classify_jordan(A, gram)
         assert cls.jtype == "III"
         assert cls.real_eigs == ((0.0, 3, 1),)
 
     def test_lifted_horosphere_is_type_ii(self):
-        form, A = lifted_horosphere_operator(n=2, c=-4.0)
+        gram, A = lifted_horosphere_operator(n=2, c=-4.0)
         # oracle: characteristic polynomial is (x - 1)^4 and the degenerate
         # 2x2 block has rank(A - I) = 1
         coeffs = np.poly(A)
         assert np.allclose(coeffs, np.poly([1.0, 1.0, 1.0, 1.0]), atol=1e-12)
         block = A[2:, 2:] - np.eye(2)
         assert np.linalg.matrix_rank(block) == 1
-        cls = classify_jordan(SelfAdjointOperator(form, A))
+        cls = classify_jordan(A, gram)
         assert cls.jtype == "II"
         assert cls.real_eigs == ((1.0, 4, 3),)
         assert cls.epsilon in (-1, 1)
@@ -146,34 +162,28 @@ class TestClassifyJordan:
         w = np.linalg.eigvals(A)
         assert np.allclose(sorted(w.real), [a, a])
         assert np.allclose(sorted(np.abs(w.imag)), [b, b])
-        cls = classify_jordan(SelfAdjointOperator(minkowski_form(2), A))
+        cls = classify_jordan(A, minkowski(2))
         assert cls.jtype == "IV"
         assert abs(cls.complex_pair[0] - a) < 1e-12
         assert abs(cls.complex_pair[1] - b) < 1e-12
 
     def test_epsilon_sign_rule(self):
         # epsilon = sign(<(A - lam) u, u>) for u in the degenerate block
-        form, A = lifted_horosphere_operator(n=2, c=-4.0)
+        gram, A = lifted_horosphere_operator(n=2, c=-4.0)
         u = np.zeros(4)
         u[2] = 1.0
-        s = (A - np.eye(4)) @ u @ form.gram @ u
-        cls = classify_jordan(SelfAdjointOperator(form, A))
+        s = (A - np.eye(4)) @ u @ gram @ u
+        cls = classify_jordan(A, gram)
         assert cls.epsilon == (1 if s > 0 else -1)
 
     def test_epsilon_negative_branch(self):
         # flipping the orientation of the horosphere flips epsilon
-        form, A = lifted_horosphere_operator(n=2, c=-4.0)
-        cls = classify_jordan(SelfAdjointOperator(form, -A))
+        gram, A = lifted_horosphere_operator(n=2, c=-4.0)
+        cls = classify_jordan(-A, gram)
         assert cls.jtype == "II"
         assert cls.real_eigs == ((-1.0, 4, 3),)
         assert cls.epsilon == -1
-        gram_err = np.abs(
-            cls.adapted_basis.T @ form.gram @ cls.adapted_basis - cls.canonical_gram()
-        ).max()
-        shape_err = np.abs(
-            -A @ cls.adapted_basis - cls.adapted_basis @ cls.canonical_matrix()
-        ).max()
-        assert max(gram_err, shape_err) < 1e-12
+        assert max(cls.residuals(-A, gram)) < 1e-12
 
 
 class TestClassificationInvariants:
@@ -182,18 +192,12 @@ class TestClassificationInvariants:
         cases = []
         for _ in range(60):
             dim = int(rng.integers(2, 7))
-            form = minkowski_form(dim)
-            cases.append((form, random_self_adjoint(rng, form)))
+            gram = minkowski(dim)
+            cases.append((gram, random_self_adjoint(rng, gram)))
         cases.append(seminull_type_iii_operator())
         cases.append(lifted_horosphere_operator())
-        for form, A in cases:
-            cls = classify_jordan(SelfAdjointOperator(form, A))
-            gram_err = np.abs(
-                cls.adapted_basis.T @ form.gram @ cls.adapted_basis - cls.canonical_gram()
-            ).max()
-            shape_err = np.abs(
-                A @ cls.adapted_basis - cls.adapted_basis @ cls.canonical_matrix()
-            ).max()
+        for gram, A in cases:
+            gram_err, shape_err = classify_jordan(A, gram).residuals(A, gram)
             assert gram_err < 1e-9
             assert shape_err < 1e-9
 
@@ -201,12 +205,12 @@ class TestClassificationInvariants:
         rng = np.random.default_rng(11)
         for _ in range(60):
             dim = int(rng.integers(2, 6))
-            form = minkowski_form(dim)
-            A = random_self_adjoint(rng, form)
-            cls = classify_jordan(SelfAdjointOperator(form, A))
-            T = random_isometry(rng, form.gram)
-            assert np.abs(T.T @ form.gram @ T - form.gram).max() < 1e-10
-            cls2 = classify_jordan(SelfAdjointOperator(form, np.linalg.solve(T, A @ T), tol=1e-7))
+            gram = minkowski(dim)
+            A = random_self_adjoint(rng, gram)
+            cls = classify_jordan(A, gram)
+            T = random_isometry(rng, gram)
+            assert np.abs(T.T @ gram @ T - gram).max() < 1e-10
+            cls2 = classify_jordan(np.linalg.solve(T, A @ T), gram)
             assert cls.jtype == cls2.jtype
             assert len(cls.real_eigs) == len(cls2.real_eigs)
             for (v1, a1, g1), (v2, a2, g2) in zip(cls.real_eigs, cls2.real_eigs):
@@ -216,9 +220,9 @@ class TestClassificationInvariants:
     def test_alg_geo_against_dense_jordan_oracle(self):
         rng = np.random.default_rng(13)
         for _ in range(100):
-            form = minkowski_form(4)
-            A = random_self_adjoint(rng, form)
-            cls = classify_jordan(SelfAdjointOperator(form, A))
+            gram = minkowski(4)
+            A = random_self_adjoint(rng, gram)
+            cls = classify_jordan(A, gram)
             w = np.linalg.eigvals(A)
             for value, alg, geo in cls.real_eigs:
                 assert alg >= geo
@@ -226,9 +230,11 @@ class TestClassificationInvariants:
                 assert count == alg
 
     def test_nondiagnosable_on_absurd_tolerance(self):
-        op = SelfAdjointOperator(minkowski_form(3), np.diag([1.0, 2.0, 3.0]))
+        # a rank threshold of 10 (1 + max|A|) puts all of R^3 in every kernel
+        A = np.diag([1.0, 2.0, 3.0])
+        w, scale = np.linalg.eigvals(A), 1.0 + 3.0
         with pytest.raises(NondiagnosableOperator):
-            classify_jordan(op, tol=10.0)
+            _classify_pass(A, minkowski(3), w, MERGE_TOL * scale, 10.0 * scale, {})
 
 
 class TestCluster:

@@ -216,6 +216,13 @@ class TestRandomSubspace:
         b = random_subspace(3, 4, seed=42)
         assert np.array_equal(a.basis, b.basis)
 
+    @pytest.mark.parametrize("seed", [-3, 1.5, "7", None])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
+            random_subspace(2, 1, seed)
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
+            unitary_conjugate(complex_line(), seed)
+
 
 class TestComplement:
     def test_complement_of_complex_line(self):

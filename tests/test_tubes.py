@@ -336,7 +336,7 @@ class TestNumericShapeOperator:
             spec = TubeSpec(W, float(rng.uniform(0.2, 2.5)))
             xi = normal_vector(W, rng.standard_normal(k))
             S = numeric_shape_operator(spec, xi)
-            evals = np.linalg.eigvalsh(0.5 * (S.matrix + S.matrix.T))
+            evals = np.linalg.eigvalsh(0.5 * (S + S.T))
             phi = normal_kahler_angle(W, xi)
             roots = tube_char_roots(n, k, spec.r, phi, C)
             assert np.abs(np.sort(evals) - roots).max() < 1e-8
@@ -347,7 +347,7 @@ class TestNumericShapeOperator:
         spec = TubeSpec(W, 1.3)
         xi = normal_vector(W, [1.0, -0.5, 0.3, 0.8])
         S = numeric_shape_operator(spec, xi)
-        assert np.abs(S.matrix - S.matrix.T).max() < 1e-10
+        assert np.abs(S - S.T).max() < 1e-10
 
     def test_complex_case_diagonalizes_to_chk(self):
         w = subspace_from_blocks(3, [(0.0, 2)])  # C^1 in C^3, n = 4, k = 4
@@ -355,6 +355,6 @@ class TestNumericShapeOperator:
         spec = TubeSpec(W, 0.7)
         xi = normal_vector(W, [1.0, 0.0, 0.0, 0.0])
         S = numeric_shape_operator(spec, xi)
-        evals = np.sort(np.linalg.eigvalsh(0.5 * (S.matrix + S.matrix.T)))
+        evals = np.sort(np.linalg.eigvalsh(0.5 * (S + S.T)))
         expect = standard_spectrum("tube-chk", 4, r=0.7, c=C, k=2).expanded()
         assert np.abs(evals - expect).max() < 1e-9
