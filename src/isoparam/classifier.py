@@ -34,6 +34,7 @@ from .errors import (
     PoleAtP,
     WNotProper,
     check_curvature,
+    check_radius,
 )
 from .indefinite_linalg import JordanClassification, cluster
 from .kahler_angle import (
@@ -212,15 +213,6 @@ class ClassificationReport:
         return out
 
 
-def _check_radius(case: str, r: Optional[float]):
-    if r is None:
-        return
-    if not 0 <= r < np.inf:  # also rejects NaN
-        raise ValueError("radius must be finite and nonnegative")
-    if r == 0 and case != "iv":
-        raise ValueError("r = 0 is only the hypersurface itself in case iv")
-
-
 def classify(
     n: int,
     c: float = -4.0,
@@ -245,7 +237,8 @@ def classify(
 
     if family is not None:
         case, inv, kk, phi = _classify_family(family, n, k)
-        _check_radius(case, r)
+        if r is not None:
+            check_radius(r, zero_ok=case == "iv")
         return ClassificationReport(case, inv, n, k=kk, r=r, phi=phi)
 
     if w is not None:
@@ -310,7 +303,8 @@ def _classify_profile(
         case = "v"
     else:
         case = "vi"
-    _check_radius(case, r)
+    if r is not None:
+        check_radius(r, zero_ok=case == "iv")
     return ClassificationReport(case, profile, n, k=k, r=r, phi=phi)
 
 

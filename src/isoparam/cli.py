@@ -5,8 +5,9 @@ Subcommands: spectrum, classify, lift, moduli, verify, horocycle.
 Exit codes: 0 success, 2 numeric or validation failure (a machine-readable
 error record is printed), 64 usage error, 66 input file not found.  The
 tolerance flag --tol, and the environment variable ISOPARAM_TOL that it
-overrides, apply to lift and horocycle only.  For a fixed argv and seed the
-JSON output is byte-identical between runs.
+overrides, apply to lift and horocycle only; either must be a finite
+positive number.  For a fixed argv and seed the JSON output is
+byte-identical between runs.
 """
 
 from __future__ import annotations
@@ -47,14 +48,25 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _seed(text: str) -> int:
-    """A --seed value: numpy seeds its generators from non-negative integers."""
-    try:
-        if int(text) >= 0:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+def _checked(parse, valid, expected: str):
+    """An argparse type: parse(text), accepted only where valid."""
+
+    def convert(text: str):
+        try:
+            if valid(parse(text)):
+                return parse(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return convert
+
+
+# numpy seeds its generators from non-negative integers; NaN fails 0 < v
+_seed = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_tol = _checked(
+    float, lambda v: 0 < v < np.inf, "a finite positive number (--tol or ISOPARAM_TOL)"
+)
 
 
 def _build_parser() -> _Parser:
@@ -64,7 +76,9 @@ def _build_parser() -> _Parser:
     def common(p, tol=False):
         p.add_argument("--curvature", type=float, default=-4.0, help="ambient curvature c < 0")
         if tol:
-            p.add_argument("--tol", type=float, default=None, help="numeric tolerance")
+            # argparse runs a string default through _tol as well
+            default = os.environ.get("ISOPARAM_TOL") or "1e-9"
+            p.add_argument("--tol", type=_tol, default=default, help="numeric tolerance > 0")
         p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--output", choices=("json", "csv", "table"), default=None)
 
@@ -113,15 +127,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--steps", type=int, default=8)
 
     return parser
-
-
-def _tolerance(args) -> float:
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get("ISOPARAM_TOL")
-    if env:
-        return float(env)
-    return 1e-9
 
 
 def _load_subspace(path: str) -> ka.RealSubspace:
@@ -196,7 +201,6 @@ def _cmd_classify(args) -> dict:
 
 def _cmd_lift(args) -> dict:
     c = args.curvature
-    tol = _tolerance(args)
     if args.example == "lohnherr":
         if args.radius in (None, 0.0):
             # the ruled hypersurface itself is not Hopf: J xi is the unit
@@ -217,7 +221,7 @@ def _cmd_lift(args) -> dict:
         spec = tg.standard_spectrum(args.example, args.n, r=args.radius, c=c, k=args.k)
         data = hopf_lift.hopf_lift_data(spec, c)
     cls = hopf_lift.classify_lift(data)
-    report = classifier.check_type_constraints(cls, c, tol=max(tol, 1e-9))
+    report = classifier.check_type_constraints(cls, c, tol=max(args.tol, 1e-9))
     projected = hopf_lift.project_spectrum(cls, c)
     return {
         "curvature": c,
@@ -259,7 +263,6 @@ def _cmd_horocycle(args) -> dict:
     n = args.n
     if args.steps < 1:
         raise UsageError("--steps must be at least 1")
-    tol = _tolerance(args)
     rng = np.random.default_rng(args.seed)
     if args.subspace:
         w = _load_subspace(args.subspace)
@@ -278,7 +281,7 @@ def _cmd_horocycle(args) -> dict:
         t = float(rng.uniform(-2.0, 2.0))
         p = sm.horocycle_point(p, U, t)
         record = p.coords.to_record()
-        record["in_w_tube_core"] = sm.contains_point(p, W, tol)
+        record["in_w_tube_core"] = sm.contains_point(p, W, args.tol)
         points.append(record)
     return {
         "curvature": c,

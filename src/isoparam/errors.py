@@ -1,4 +1,5 @@
-"""Exception types shared across the library, and the curvature and seed checks."""
+"""Exception types shared across the library, and the curvature, radius and
+seed checks."""
 
 import math
 import numbers
@@ -43,7 +44,8 @@ class InvalidCodimension(IsoparamError):
 
 
 class FocalRadius(IsoparamError):
-    """Radius at which the tube degenerates to the focal submanifold."""
+    """A tube radius that is not finite and positive, or at which the tube
+    degenerates to the focal submanifold."""
 
 
 class InvalidK(IsoparamError):
@@ -70,6 +72,16 @@ def check_curvature(c: float):
     """Raise ValueError unless the ambient curvature c is finite and negative."""
     if not -math.inf < c < 0:  # also rejects NaN
         raise ValueError(f"curvature c must be negative and finite, got {c}")
+
+
+def check_radius(r, zero_ok=False):
+    """Raise FocalRadius unless the tube radius r is positive and finite;
+    zero_ok admits r = 0, where a core of codimension one (case iv, k = 1)
+    is the hypersurface itself."""
+    if r is None or not 0 <= r < math.inf:  # also rejects NaN
+        raise FocalRadius(f"tube radius must be positive and finite, got {r}")
+    if r == 0 and not zero_ok:
+        raise FocalRadius("r = 0 degenerates the tube to the focal submanifold")
 
 
 def check_seed(seed):

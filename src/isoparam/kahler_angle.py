@@ -33,7 +33,7 @@ from .indefinite_linalg import cluster
 
 ANGLE_TOL = 1e-7  # clustering tolerance for angles, radians
 BASIS_TOL = 1e-10
-RANK_TOL = 1e-9  # singular value cut of _orth_rows
+RANK_TOL = 1e-9  # rank cut on the singular values of unit-scale rows (build_w)
 
 
 def apply_J(v: np.ndarray) -> np.ndarray:
@@ -52,17 +52,6 @@ def apply_J(v: np.ndarray) -> np.ndarray:
 def complex_structure(m: int) -> np.ndarray:
     """Matrix of J on R^(2m) in interleaved (re, im) coordinates."""
     return apply_J(np.eye(2 * m)).T
-
-
-def _orth_rows(V: np.ndarray) -> np.ndarray:
-    """Orthonormal row basis of the row span; absolute singular value cut
-    (inputs are unit scale)."""
-    V = np.atleast_2d(np.asarray(V, dtype=float))
-    if V.shape[0] == 0:
-        return V
-    q, s, _ = np.linalg.svd(V.T, full_matrices=False)
-    rank = int((s > RANK_TOL).sum())
-    return q[:, :rank].T
 
 
 def _complement_rows(rows: np.ndarray, dim: int) -> np.ndarray:

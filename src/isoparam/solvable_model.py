@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotNormal, NotTangent, WNotProper, check_curvature
-from .kahler_angle import RealSubspace, _complement_rows, _orth_rows, apply_J, complex_structure
+from .kahler_angle import RANK_TOL, RealSubspace, _complement_rows, apply_J, complex_structure
 
 NORMAL_TOL = 1e-9  # tangency and normality residual at the base point
 
@@ -274,16 +274,20 @@ def group_product(g: ANPoint, h: ANPoint) -> ANPoint:
 class SubmanifoldW:
     """The orbit W_w of the group with Lie algebra a + w + g_2alpha.
 
-    w is a proper real subspace of g_alpha = C^(n-1).  Stored frames, all
-    orthonormal rows in the interleaved coordinates of g_alpha:
+    w is a proper real subspace of g_alpha = C^(n-1).  At the base point
+    the tangent space splits as a + (w - P w_perp) + P w_perp + g_2alpha
+    and the normal space is w_perp; the shape operator couples Z with
+    P w_perp and nothing else.  Stored frames, all orthonormal rows in the
+    interleaved coordinates of g_alpha:
 
         w_perp_basis   normal space, k = dim w_perp,
-        p_perp_basis   P w_perp, the tangential images of J on w_perp,
-        c_part_basis   g_alpha minus C w_perp (the g_alpha part of the
-                       maximal complex subalgebra).
+        p_perp_basis   P w_perp, the projection of J w_perp onto w,
+        c_part_basis   w - P w_perp, the complex subspace of w orthogonal
+                       to J w_perp (the g_alpha part of the maximal
+                       complex subalgebra).
 
-    The tangent space at the base point is spanned by B, Z, c_part and
-    P w_perp; the normal space is w_perp.
+    _frame_rows() turns them into the flat tangent frame [B, Z, c_part,
+    P w_perp] and normal frame of the shape and tube operators.
     """
 
     n: int
@@ -324,6 +328,12 @@ class SubmanifoldW:
 def build_w(w: RealSubspace, n: int, c: float) -> SubmanifoldW:
     """Assemble the frames of W_w from a proper real subspace w of C^(n-1).
 
+    w_perp is the complement of w (one full SVD).  K = w.basis (J w_perp)^T
+    is P w_perp written in w's own coordinates, of size (2m - k) x k; its
+    singular values are the sines of the Kahler angles of w_perp.  One SVD
+    of K splits w: the left singular vectors with singular value above
+    RANK_TOL span P w_perp, the others its complement c_part.
+
     Raises WNotProper when w is all of g_alpha.
     """
     check_curvature(c)
@@ -333,12 +343,10 @@ def build_w(w: RealSubspace, n: int, c: float) -> SubmanifoldW:
     if w.dim == 2 * m:
         raise WNotProper("w must be a proper subspace of g_alpha")
     w_perp = _complement_rows(w.basis, 2 * m)
-    j_perp = apply_J(w_perp)
-    p_cols = np.array([w.project(row) for row in j_perp])
-    p_perp = _orth_rows(p_cols) if p_cols.size else np.zeros((0, 2 * m))
-    cw = _orth_rows(np.vstack([w_perp, j_perp]))
-    c_part = _complement_rows(cw, 2 * m)
-    return SubmanifoldW(n, c, w, w_perp, p_perp, c_part)
+    u, s, _ = np.linalg.svd(w.basis @ apply_J(w_perp).T)
+    rank = int((s > RANK_TOL).sum())
+    frame = u.T @ w.basis
+    return SubmanifoldW(n, c, w, w_perp, frame[:rank], frame[rank:])
 
 
 def _galpha_flat(X: ANVector) -> np.ndarray:
@@ -348,10 +356,7 @@ def _galpha_flat(X: ANVector) -> np.ndarray:
 
 def _tangent_residual(Wspec: SubmanifoldW, X: ANVector) -> float:
     """Norm of the w_perp component of X (zero for tangent vectors)."""
-    v = _galpha_flat(X)
-    if Wspec.k == 0:
-        return 0.0
-    return float(np.linalg.norm(Wspec.w_perp_basis @ v))
+    return float(np.linalg.norm(Wspec.w_perp_basis @ _galpha_flat(X)))
 
 
 def _zp_coupling(Wspec: SubmanifoldW) -> np.ndarray:
@@ -382,12 +387,8 @@ def second_fundamental_form(Wspec: SubmanifoldW, X: ANVector, Y: ANVector) -> AN
     return ANVector.from_flat(out, Wspec.c)
 
 
-def shape_operator(Wspec: SubmanifoldW, xi: ANVector) -> np.ndarray:
-    """Matrix of the shape operator of W_w in the tangent_frame() basis.
-
-    <A_xi X, Y> = <II(X, Y), xi>.  Only the Z row and column are filled, off
-    the diagonal, so the trace is exactly zero: W_w is minimal.
-    """
+def _check_normal(Wspec: SubmanifoldW, xi: ANVector) -> np.ndarray:
+    """The g_alpha coordinates of xi; NotNormal unless xi is normal to W_w at o."""
     if xi.n != Wspec.n or xi.c != Wspec.c:
         raise DimensionMismatch("normal vector does not match the submanifold data")
     v = _galpha_flat(xi)
@@ -395,6 +396,16 @@ def shape_operator(Wspec: SubmanifoldW, xi: ANVector) -> np.ndarray:
     if (Wspec.k == 0 or res > NORMAL_TOL * max(1.0, an_norm(xi))
             or abs(xi.a) > NORMAL_TOL or abs(xi.x) > NORMAL_TOL):
         raise NotNormal("xi is not normal to W_w at o")
+    return v
+
+
+def shape_operator(Wspec: SubmanifoldW, xi: ANVector) -> np.ndarray:
+    """Matrix of the shape operator of W_w in the tangent_frame() basis.
+
+    <A_xi X, Y> = <II(X, Y), xi>.  Only the Z row and column are filled, off
+    the diagonal, so the trace is exactly zero: W_w is minimal.
+    """
+    v = _check_normal(Wspec, xi)
     coef = _zp_coupling(Wspec) @ (Wspec.w_perp_basis @ v)
     d = Wspec.tangent_dim
     A = np.zeros((d, d))

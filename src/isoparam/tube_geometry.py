@@ -24,16 +24,16 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     FocalRadius,
     InvalidCodimension,
     InvalidK,
     NotNormal,
     check_curvature,
+    check_radius,
 )
 from .indefinite_linalg import cluster
 from .kahler_angle import apply_J
-from .solvable_model import NORMAL_TOL, ANVector, SubmanifoldW, _galpha_flat
+from .solvable_model import ANVector, SubmanifoldW, _check_normal, shape_operator
 
 CLUSTER_TOL = 1e-7
 
@@ -103,12 +103,6 @@ def spectrum_from_values(values, **kw) -> TubeSpectrum:
     return TubeSpectrum(_merged_entries(values, np.ones(values.size)), **kw)
 
 
-def _check_radius(r):
-    """Raise FocalRadius unless the tube radius r is positive and finite."""
-    if r is None or not 0 < r < np.inf:  # also rejects NaN
-        raise FocalRadius("tube radius must be positive and finite")
-
-
 @dataclass(frozen=True)
 class TubeSpec:
     """A tube of radius r around a submanifold W_w."""
@@ -117,7 +111,7 @@ class TubeSpec:
     r: float
 
     def __post_init__(self):
-        _check_radius(self.r)
+        check_radius(self.r)
 
     @property
     def n(self) -> int:
@@ -173,11 +167,6 @@ def parallel_data(r: float, t: float, c: float):
 # closed-form spectra
 
 
-def _tube_lambda(r: float, c: float) -> float:
-    s0 = np.sqrt(-c) / 2
-    return float(s0 * np.tanh(s0 * r))
-
-
 def angle_factor_cubic(lam: float, phi: float, c: float) -> np.ndarray:
     """Coefficients (degree 3 first) of the angle-dependent cubic factor
     of the tube characteristic polynomial:
@@ -201,11 +190,12 @@ def _char_factors(n: int, k: int, r: float, phi: float, c: float):
     (lam, mu, the angle factor, power of (lam - x), power of (mu - x))."""
     if n < 2 or not 1 <= k <= 2 * n - 3:
         raise InvalidCodimension(f"need n >= 2 and 1 <= k <= 2n-3, got n={n}, k={k}")
-    _check_radius(r)
+    check_radius(r)
     check_curvature(c)
     if not 0 <= phi <= np.pi / 2 + 1e-12:
         raise ValueError("phi must lie in [0, pi/2]")
-    lam = _tube_lambda(r, c)
+    s0 = np.sqrt(-c) / 2
+    lam = float(s0 * np.tanh(s0 * r))
     mu = -c / (4 * lam)
     if k == 1:
         quad, _ = np.polydiv(angle_factor_cubic(lam, np.pi / 2, c), np.array([-1.0, mu]))
@@ -264,12 +254,9 @@ def tube_mean_curvature(n: int, k: int, r: float, c: float) -> float:
     """
     if n < 2 or not 1 <= k <= 2 * n - 3:
         raise InvalidCodimension(f"need n >= 2 and 1 <= k <= 2n-3, got n={n}, k={k}")
-    if not 0 <= r < np.inf:  # also rejects NaN
-        raise FocalRadius("tube radius must be nonnegative and finite")
+    check_radius(r, zero_ok=k == 1)
     check_curvature(c)
     if r == 0:
-        if k > 1:
-            raise FocalRadius("r = 0 degenerates the tube to the focal submanifold")
         return 0.0
     s0 = np.sqrt(-c) / 2
     csch = 2 * np.exp(-2 * s0 * r) / -np.expm1(-4 * s0 * r)
@@ -293,7 +280,7 @@ def standard_spectrum(example: str, n: int, r: float = None, c: float = -4.0, k:
         raise InvalidK(f"tube-chk needs 0 <= k <= n-1, got {k}")
     # the horosphere ignores r, but an r that is given is finite
     if example != "horosphere" or (r is not None and not np.isfinite(r)):
-        _check_radius(r)
+        check_radius(r)
     s0 = np.sqrt(-c) / 2
     with np.errstate(over="ignore", divide="ignore"):
         if example == "horosphere":
@@ -324,21 +311,17 @@ def lohnherr_spectrum(n: int, c: float = -4.0) -> TubeSpectrum:
 # spectra of tubes around W_w
 
 
-def _check_unit_normal(Wspec: SubmanifoldW, xi: ANVector):
-    if xi.n != Wspec.n or xi.c != Wspec.c:
-        raise DimensionMismatch("xi does not match the submanifold data")
-    v = _galpha_flat(xi)
-    res = np.linalg.norm(v - Wspec.w_perp_basis.T @ (Wspec.w_perp_basis @ v))
-    if abs(xi.a) > NORMAL_TOL or abs(xi.x) > NORMAL_TOL or res > NORMAL_TOL:
-        raise NotNormal("xi is not normal to W_w")
+def _check_unit_normal(Wspec: SubmanifoldW, xi: ANVector) -> np.ndarray:
+    """The g_alpha coordinates of xi; NotNormal unless it is a unit normal."""
+    v = _check_normal(Wspec, xi)
     if abs(np.linalg.norm(v) - 1.0) > 1e-8:
         raise NotNormal("xi is not a unit vector")
+    return v
 
 
 def normal_kahler_angle(Wspec: SubmanifoldW, xi: ANVector) -> float:
     """Kahler angle of the unit normal xi with respect to w_perp."""
-    _check_unit_normal(Wspec, xi)
-    v = _galpha_flat(xi)
+    v = _check_unit_normal(Wspec, xi)
     F = Wspec.w_perp_basis.T @ (Wspec.w_perp_basis @ apply_J(v))
     return float(np.arccos(min(1.0, np.linalg.norm(F))))
 
@@ -375,69 +358,36 @@ def numeric_shape_operator(spec: TubeSpec, xi: ANVector) -> np.ndarray:
 
 
 def tube_operator_frame(spec: TubeSpec, xi: ANVector):
-    """(shape operator matrix, coordinates of J xi) in a fixed orthonormal
-    frame of the xi-orthocomplement at the base point.
+    """(shape operator matrix, coordinates u of J xi) in a fixed orthonormal
+    frame of the xi-orthocomplement at the base point: the tangent frame of
+    W_w, then w_perp minus xi.
 
-    The frame is parallel along the radial geodesic, so the second output
-    also expands -J eta at the tube point, eta being the inward normal.
+    The frame is parallel along the radial geodesic, so u also expands
+    -J eta at the tube point, eta being the inward normal.  The Jacobi
+    fields start from X0 = [I 0; 0 0], X1 = [-A_xi 0; 0 I]; at t = r
+
+        Zm = C1 X0 + S1 X1 + u u^T ((C2 - C1) X0 + (S2 - S1) X1),
+
+    Zp the same with derivatives, and the operator is Zp Zm^-1.
     """
-    Wspec, r, c, n = spec.Wspec, spec.r, spec.c, spec.n
-    _check_unit_normal(Wspec, xi)
-    d = 2 * n
-    s0 = np.sqrt(-c) / 2
+    Wspec, r, D = spec.Wspec, spec.r, 2 * spec.n - 1
+    xi_g = _check_unit_normal(Wspec, xi)
+    A = shape_operator(Wspec, xi)
+    d = len(A)
+    N = Wspec.w_perp_basis
+    _, _, rest = np.linalg.svd(N - np.outer(N @ xi_g, xi_g), full_matrices=False)
+    # J xi lies in g_alpha, so the g_alpha parts of the frame rows expand it
+    u = np.vstack([Wspec._frame_rows()[0][:, 1:-1], rest[: D - d]]) @ apply_J(xi_g)
 
-    def emb(v: np.ndarray) -> np.ndarray:
-        out = np.zeros(d)
-        out[1:-1] = v
-        return out
+    X0 = np.diag((np.arange(D) < d) * 1.0)
+    X1 = np.eye(D) - X0
+    X1[:d, :d] = -A
 
-    B = np.zeros(d)
-    B[0] = 1.0
-    Zv = np.zeros(d)
-    Zv[-1] = 1.0
+    def evolve(c1, s1, c2, s2):
+        return c1 * X0 + s1 * X1 + np.outer(u, u @ ((c2 - c1) * X0 + (s2 - s1) * X1))
 
-    xi_g = _galpha_flat(xi)
-    jxi_g = apply_J(xi_g)
-    pxi = Wspec.w.project(jxi_g)  # tangential part of J xi
-
-    tangent_cols = [B, Zv]
-    tangent_cols += [emb(row) for row in Wspec.c_part_basis]
-    tangent_cols += [emb(row) for row in Wspec.p_perp_basis]
-    T = np.column_stack(tangent_cols)
-
-    # w_perp minus the xi direction
-    coef = Wspec.w_perp_basis @ xi_g
-    rest = Wspec.w_perp_basis - np.outer(coef, xi_g)
-    q, s, _ = np.linalg.svd(rest.T, full_matrices=False)
-    Nf = np.column_stack([emb(q[:, i]) for i in range(spec.k - 1)]) if spec.k > 1 else np.zeros((d, 0))
-
-    M = np.hstack([T, Nf])  # orthonormal basis of the xi-orthocomplement
-    pxi_full = emb(pxi)
-    z_full = Zv
-
-    def a_xi(v: np.ndarray) -> np.ndarray:
-        # shape operator of W_w: rank two, swapping Z and P xi
-        return s0 * (v[-1] * pxi_full + (v @ pxi_full) * z_full)
-
-    # J xi in ambient flat coordinates: xi has no B/Z component
-    jxi = np.zeros(d)
-    jxi[1:-1] = jxi_g
-    u = M.T @ jxi
-
-    gens = [(M.T @ T[:, i], M.T @ (-a_xi(T[:, i]))) for i in range(T.shape[1])]
-    gens += [(np.zeros(2 * n - 1), M.T @ Nf[:, i]) for i in range(Nf.shape[1])]
-
-    C1, S1 = np.cosh(s0 * r), np.sinh(s0 * r) / s0
-    C1p, S1p = s0 * np.sinh(s0 * r), np.cosh(s0 * r)
-    C2, S2 = np.cosh(2 * s0 * r), np.sinh(2 * s0 * r) / (2 * s0)
-    C2p, S2p = 2 * s0 * np.sinh(2 * s0 * r), np.cosh(2 * s0 * r)
-
-    Zm = np.zeros((2 * n - 1, 2 * n - 1))
-    Zp = np.zeros_like(Zm)
-    for j, (X, Xp) in enumerate(gens):
-        xu, xpu = X @ u, Xp @ u
-        X_perp, Xp_perp = X - xu * u, Xp - xpu * u
-        Zm[:, j] = (xu * C2 + xpu * S2) * u + C1 * X_perp + S1 * Xp_perp
-        Zp[:, j] = (xu * C2p + xpu * S2p) * u + C1p * X_perp + S1p * Xp_perp
-    S = Zp @ np.linalg.inv(Zm)
-    return S, u
+    s0 = np.sqrt(-spec.c) / 2
+    a, b = s0 * r, 2 * s0 * r
+    Zm = evolve(np.cosh(a), np.sinh(a) / s0, np.cosh(b), np.sinh(b) / (2 * s0))
+    Zp = evolve(s0 * np.sinh(a), np.cosh(a), 2 * s0 * np.sinh(b), np.cosh(b))
+    return np.linalg.solve(Zm.T, Zp.T).T, u

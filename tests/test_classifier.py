@@ -5,6 +5,7 @@ import pytest
 
 from isoparam import (
     DuplicateEigenvalue,
+    FocalRadius,
     InvalidK,
     JordanClassification,
     ParityViolation,
@@ -186,7 +187,7 @@ class TestClassify:
 
     def test_zero_radius_only_for_ruled_hypersurface(self):
         w = random_subspace(2, 2, seed=13)
-        with pytest.raises(ValueError):
+        with pytest.raises(FocalRadius):
             classify(3, c=C, w=w, r=0.0)
 
     def test_report_depends_only_on_congruence_class(self):
@@ -209,9 +210,9 @@ class TestClassify:
     @pytest.mark.parametrize("r", [float("nan"), float("inf")])
     def test_rejects_non_finite_radius(self, r):
         w = random_subspace(2, 1, seed=3)
-        with pytest.raises(ValueError):
+        with pytest.raises(FocalRadius):
             classify(3, c=C, w=w, r=r)
-        with pytest.raises(ValueError):
+        with pytest.raises(FocalRadius):
             classify(3, c=C, family="tube-rhn", r=r)
 
 

@@ -316,7 +316,7 @@ class TestDeterminismAndErrors:
         assert code == EXIT_VALIDATION
         payload = json.loads(out)
         validate("error", payload)
-        assert payload["error"]["type"] == "ValueError"
+        assert payload["error"]["type"] == "FocalRadius"
 
     @pytest.mark.parametrize("curvature", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
@@ -356,6 +356,28 @@ class TestDeterminismAndErrors:
         validate("error", json.loads(out))
         lift = ["lift", "--example", "horosphere", "--n", "3", "--tol", "1e-6"]
         assert run_cli(capsys, *lift)[0] == EXIT_OK
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "abc"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lift", "--example", "tube-chk", "--n", "3", "--k", "1", "--radius", "1"],
+            ["horocycle", "--n", "3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_tol_must_be_finite_and_positive(self, capsys, monkeypatch, source, argv, tol):
+        if source == "env":
+            monkeypatch.setenv("ISOPARAM_TOL", tol)
+        else:
+            argv = [*argv, f"--tol={tol}"]  # glued so that "-1" is not read as an option
+        code, out = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        payload = strict_json(out)
+        validate("error", payload)
+        assert payload["error"]["type"] == "usage"
+        assert "finite positive number" in payload["error"]["message"]
 
     def test_validation_failure(self, capsys):
         code, out = run_cli(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import solvable_oracles as oracle
+import w_frame_oracles
 
 from isoparam import solvable_model as sm
 from isoparam import (
@@ -10,6 +11,7 @@ from isoparam import (
     ANVector,
     NotNormal,
     NotTangent,
+    RealSubspace,
     WNotProper,
     an_J,
     an_inner,
@@ -20,12 +22,15 @@ from isoparam import (
     curvature_tensor,
     group_product,
     horocycle_point,
+    kahler_profile,
     levi_civita,
     random_subspace,
     second_fundamental_form,
     shape_operator,
     subspace_from_blocks,
+    unitary_conjugate,
 )
+from isoparam.kahler_angle import ANGLE_TOL, apply_J
 
 C = -4.0  # sqrt(-c) = 2 keeps the structure constants legible
 
@@ -221,6 +226,56 @@ class TestBuildW:
             assert np.abs(G - np.eye(len(frame))).max() < 1e-10
 
 
+# w in C^4 (n = 5) with its expected rank of P w_perp, the number of
+# nonzero Kahler angles of w_perp
+FRAME_CASES = {
+    "generic": (random_subspace(4, 5, seed=21), 3),
+    "complex": (unitary_conjugate(subspace_from_blocks(4, [(0.0, 4)]), 22), 0),
+    "totally_real": (unitary_conjugate(subspace_from_blocks(4, [(np.pi / 2, 3)]), 23), 3),
+    "zero": (RealSubspace(4, np.zeros((0, 8))), 0),
+    "hyperplane": (random_subspace(4, 7, seed=24), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_CASES))
+class TestFrameSplitting:
+    """The defining properties of the frames of build_w."""
+
+    def frames(self, name):
+        w, _ = FRAME_CASES[name]
+        return w, build_w(w, 5, C)
+
+    def test_c_part_and_p_perp_split_w(self, name):
+        w, W = self.frames(name)
+        F = np.vstack([W.c_part_basis, W.p_perp_basis])
+        assert F.shape == w.basis.shape
+        assert np.abs(F @ F.T - np.eye(len(F))).max(initial=0.0) < 1e-12
+        assert np.abs(F.T @ F - w.basis.T @ w.basis).max() < 1e-12
+
+    def test_c_part_is_complex(self, name):
+        _, W = self.frames(name)
+        Q = W.c_part_basis
+        JQ = apply_J(Q)
+        assert np.abs(JQ - JQ @ Q.T @ Q).max(initial=0.0) < 1e-12
+
+    def test_c_part_orthogonal_to_j_w_perp(self, name):
+        _, W = self.frames(name)
+        assert np.abs(W.c_part_basis @ apply_J(W.w_perp_basis).T).max(initial=0.0) < 1e-12
+
+    def test_spans_match_row_by_row_oracle(self, name):
+        w, W = self.frames(name)
+        old = w_frame_oracles.build_w(w, 5, C)
+        for a, b in ((W.p_perp_basis, old.p_perp_basis), (W.c_part_basis, old.c_part_basis)):
+            assert a.shape == b.shape
+            assert np.abs(a.T @ a - b.T @ b).max() < 1e-12
+
+    def test_p_perp_rank_counts_nonzero_kahler_angles(self, name):
+        _, W = self.frames(name)
+        profile, _, _ = kahler_profile(W.w_perp_subspace())
+        nonzero = sum(mult for angle, mult in profile.entries if angle > ANGLE_TOL)
+        assert len(W.p_perp_basis) == nonzero == FRAME_CASES[name][1]
+
+
 class TestSecondFundamentalForm:
     def test_b_direction_is_trivial(self):
         rng = np.random.default_rng(10)
@@ -240,8 +295,6 @@ class TestSecondFundamentalForm:
                 [0.0, 0.0, 0.0, 1.0],
             ]
         )
-        from isoparam import RealSubspace
-
         w = RealSubspace(m, rows)
         W = build_w(w, 3, C)
         xi = W.normal_frame()[0]

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import w_frame_oracles as oracle
 
 from isoparam import (
     ANVector,
@@ -26,7 +27,8 @@ from isoparam import (
     tube_mean_curvature,
     tube_spectrum_at,
 )
-from isoparam.tube_geometry import angle_factor_cubic
+from isoparam.indefinite_linalg import cluster
+from isoparam.tube_geometry import angle_factor_cubic, tube_operator_frame
 
 C = -4.0
 
@@ -358,3 +360,33 @@ class TestNumericShapeOperator:
         evals = np.sort(np.linalg.eigvalsh(0.5 * (S + S.T)))
         expect = standard_spectrum("tube-chk", 4, r=0.7, c=C, k=2).expanded()
         assert np.abs(evals - expect).max() < 1e-9
+
+
+def eigen_weights(S, u):
+    """Sorted eigenvalues of S, and per eigenspace its dimension and the
+    weight |u|^2 of u on it: invariants of a rotation of the frame."""
+    evals, vecs = np.linalg.eigh(0.5 * (S + S.T))
+    weights = (vecs.T @ u) ** 2
+    runs = cluster(evals, 1e-7 * (1.0 + np.abs(evals[1:])))
+    return evals, [(len(evals[run]), weights[run].sum()) for run in runs]
+
+
+class TestTubeOperatorOracle:
+    # the block assembly on the frames of build_w against the per-column
+    # assembly on the frames of the row-by-row build_w
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 10, 30])
+    def test_matches_per_column_assembly(self, n):
+        rng = np.random.default_rng(n)
+        m = n - 1
+        for k in sorted({1, 2 * n - 3}):
+            for r in np.exp(rng.uniform(np.log(0.05), np.log(3.0), 4)):
+                w = random_subspace(m, 2 * m - k, int(rng.integers(2**31)))
+                W = build_w(w, n, C)
+                xi = normal_vector(W, rng.standard_normal(k))
+                got, got_w = eigen_weights(*tube_operator_frame(TubeSpec(W, r), xi))
+                want, want_w = eigen_weights(
+                    *oracle.tube_operator_frame(oracle.build_w(w, n, C), r, xi)
+                )
+                assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+                assert [d for d, _ in got_w] == [d for d, _ in want_w]
+                assert np.allclose([x for _, x in got_w], [x for _, x in want_w], rtol=0, atol=1e-12)
