@@ -221,7 +221,7 @@ def _cmd_lift(args) -> dict:
         spec = tg.standard_spectrum(args.example, args.n, r=args.radius, c=c, k=args.k)
         data = hopf_lift.hopf_lift_data(spec, c)
     cls = hopf_lift.classify_lift(data)
-    report = classifier.check_type_constraints(cls, c, tol=max(args.tol, 1e-9))
+    report = classifier.check_type_constraints(cls, c, tol=args.tol)
     projected = hopf_lift.project_spectrum(cls, c)
     return {
         "curvature": c,

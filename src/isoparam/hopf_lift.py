@@ -41,7 +41,7 @@ from .errors import (
     check_curvature,
 )
 from .indefinite_linalg import JORDAN_TOL, JordanClassification, classify_jordan
-from .tube_geometry import TubeSpectrum, spectrum_from_values, tube_operator_frame
+from .tube_geometry import TubeSpectrum, _tube_block, spectrum_from_values
 
 
 def ads_inner(z, w) -> float:
@@ -93,13 +93,17 @@ def tube_lift_data(spec, xi) -> LiftedShapeData:
     """Lift data for a tube around W_w at the point reached along xi.
 
     The tube is not Hopf when the angle of xi is strictly between 0 and
-    pi/2, so b is computed from the numeric shape operator: its principal
-    frame together with the parallel-transported -J xi.
+    pi/2, so b is computed from the coupled block of the shape operator
+    (tube_geometry._tube_block): J xi has no weight on the bulk curvatures
+    lambda and mu, and its weight on the block's eigenvectors y is
+    y^T (-u_V).
     """
-    S, u = tube_operator_frame(spec, xi)
-    evals, evecs = np.linalg.eigh(0.5 * (S + S.T))
-    b = evecs.T @ (-u)
-    return LiftedShapeData(spectrum_from_values(evals), b, spec.c)
+    lam, mu, m_lam, m_mu, block, u = _tube_block(spec, xi)
+    evals, evecs = np.linalg.eigh(0.5 * (block + block.T))
+    values = np.concatenate([np.full(m_lam, lam), np.full(m_mu, mu), evals])
+    b = np.concatenate([np.zeros(m_lam + m_mu), evecs.T @ (-u)])
+    order = np.argsort(values, kind="stable")
+    return LiftedShapeData(spectrum_from_values(values), b[order], spec.c)
 
 
 def _arrowhead(values, border, s0):

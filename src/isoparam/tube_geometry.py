@@ -9,8 +9,15 @@ complement (curvature c/4).  The scalar solutions
 
 drive every spectrum in this module: the closed-form principal curvatures
 of the classical Hopf examples, the characteristic polynomial of tubes
-around the ruled minimal submanifolds W_w, and a fully numeric assembly of
-the same shape operator used to cross-check the closed forms.
+around the ruled minimal submanifolds W_w, and the shape operator of those
+tubes evolved from the Jacobi fields, which cross-checks the closed forms.
+Write J xi = P xi + F xi with P xi in w and F xi in w_perp.  The shape
+operator A_xi of W_w couples only Z with P w_perp, so the tube operator
+leaves span{Z, P xi, F xi} invariant and is lambda = s0 tanh(s0 r) on the
+rest of the tangent space of W_w and mu = s0 coth(s0 r) on the rest of
+w_perp minus xi, s0 = sqrt(-c)/2: the factorisation
+(lambda - x)^(2n-k-2) (mu - x)^(k-2) f_phi(x) of tube_char_poly.  Only that
+3 x 3 block is evolved (_tube_block).
 
 All tube curvatures refer to the inward unit normal (pointing back to the
 core submanifold), which makes them positive.
@@ -33,7 +40,13 @@ from .errors import (
 )
 from .indefinite_linalg import cluster
 from .kahler_angle import apply_J
-from .solvable_model import ANVector, SubmanifoldW, _check_normal, shape_operator
+from .solvable_model import (
+    ANVector,
+    SubmanifoldW,
+    _check_normal,
+    _galpha_flat,
+    _zp_coupling,
+)
 
 CLUSTER_TOL = 1e-7
 
@@ -146,20 +159,29 @@ def parallel_data(r: float, t: float, c: float):
     """Evolved data of the parallel-hypersurface family at distance t.
 
     Returns (lambda_t, mu_t, alpha_t, beta_t, focal): the two principal
-    curvatures and the frame coefficients of the evolved semi-null basis.
-    At t = r the family collapses onto the focal submanifold: lambda_t = 0,
-    mu_t = +inf (sentinel) and focal = True.
+    curvatures and the frame coefficients of the evolved semi-null basis,
+    alpha_t = q^3 sinh(s0 t) / s0 and beta_t = q^2 with
+    q = cosh(s0 r) / cosh(s0 (r - t)), written as
+    e^(s0 t) (1 + e^(-2 s0 r)) / (1 + e^(-2 s0 (r - t))) so that it does not
+    overflow at a large r.  At t = r the family collapses onto the focal
+    submanifold: lambda_t = 0, mu_t = +inf (sentinel) and focal = True.
+    Raises FocalRadius unless r is finite and positive, or when alpha_t,
+    beta_t or mu_t overflows.
     """
     check_curvature(c)
+    check_radius(r)
     if not 0 <= t <= r:
         raise ValueError("need 0 <= t <= r")
     s0 = np.sqrt(-c) / 2
     lam = s0 * np.tanh(s0 * (r - t))
-    alpha = (np.cosh(s0 * r) ** 3 / np.cosh(s0 * (r - t)) ** 3) * np.sinh(s0 * t) / s0
-    beta = np.cosh(s0 * r) ** 2 / np.cosh(s0 * (r - t)) ** 2
+    with np.errstate(over="ignore", divide="ignore"):
+        q = np.exp(s0 * t) * (1 + np.exp(-2 * s0 * r)) / (1 + np.exp(-2 * s0 * (r - t)))
+        alpha, beta = q**3 * np.sinh(s0 * t) / s0, q**2
+        mu = np.inf if t == r else s0 / np.tanh(s0 * (r - t))
+    if not np.isfinite([alpha, beta]).all() or (t != r and not np.isfinite(mu)):
+        raise FocalRadius(f"the parallel data at r = {r}, t = {t} overflow")
     if t == r:
         return 0.0, np.inf, float(alpha), float(beta), True
-    mu = s0 / np.tanh(s0 * (r - t))
     return float(lam), float(mu), float(alpha), float(beta), False
 
 
@@ -339,6 +361,52 @@ def tube_spectrum_at(spec: TubeSpec, xi: ANVector) -> TubeSpectrum:
     return spectrum_from_values(roots)
 
 
+def _tube_block(spec: TubeSpec, xi: ANVector):
+    """The tube shape operator on its coupled block V = span{Z, P xi, F xi}.
+
+    In the basis of V along Z, P xi and F xi, A_xi Z = s0 P xi makes the
+    Jacobi fields start from X0 = diag(1, 1, 0) and
+    X1 = [[0, -s0 sP, 0], [-s0 sP, 0, 0], [0, 0, 1]], and J xi is
+    u_V = (0, sP, sN) with sP = |P xi| = sin phi and sN = |F xi| = cos phi.
+    At t = r
+
+        Zm = C1 X0 + S1 X1 + u u^T ((C2 - C1) X0 + (S2 - S1) X1),
+
+    Zp the same with derivatives, and the block is Zp Zm^-1.  For k = 1,
+    F xi = 0 and V = span{Z, P xi}.
+
+    Returns (lambda, mu, multiplicity of lambda, multiplicity of mu, block,
+    u_V), the multiplicities 2n - k - 2 and max(k - 2, 0).  Raises NotNormal
+    unless xi is a unit normal and the Z-P coupling read off the frames of
+    W_w (the row of shape_operator) is s0 P xi within 1e-12 (1 + |coupling|).
+    """
+    W, r = spec.Wspec, spec.r
+    v = _check_unit_normal(W, xi)
+    jxi = apply_J(v)
+    s0 = np.sqrt(-spec.c) / 2
+    u_p = W.p_perp_basis @ jxi
+    coef = _zp_coupling(W) @ (W.w_perp_basis @ v)
+    res = np.linalg.norm(coef - s0 * u_p)  # 0.0 when p = 0 (complex w_perp)
+    if not res <= 1e-12 * (1.0 + np.linalg.norm(coef)):
+        raise NotNormal(f"the Z-P coupling of xi differs from s0 P xi by {res:.2e}")
+    sP = np.linalg.norm(u_p)
+    X0 = np.diag([1.0, 1.0, 0.0])
+    X1 = np.array([[0.0, -s0 * sP, 0.0], [-s0 * sP, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    u = np.array([0.0, sP, np.linalg.norm(W.w_perp_basis @ jxi)])
+    if spec.k == 1:
+        X0, X1, u = X0[:2, :2], X1[:2, :2], u[:2]
+
+    def evolve(c1, s1, c2, s2):
+        return c1 * X0 + s1 * X1 + np.outer(u, u @ ((c2 - c1) * X0 + (s2 - s1) * X1))
+
+    a, b = s0 * r, 2 * s0 * r
+    Zm = evolve(np.cosh(a), np.sinh(a) / s0, np.cosh(b), np.sinh(b) / (2 * s0))
+    Zp = evolve(s0 * np.sinh(a), np.cosh(a), 2 * s0 * np.sinh(b), np.cosh(b))
+    block = np.linalg.solve(Zm.T, Zp.T).T
+    t = np.tanh(a)
+    return s0 * t, s0 / t, W.tangent_dim - 2, max(spec.k - 2, 0), block, u
+
+
 def numeric_shape_operator(spec: TubeSpec, xi: ANVector) -> np.ndarray:
     """Shape operator of the tube at gamma_xi(r), assembled from Jacobi fields.
 
@@ -363,31 +431,29 @@ def tube_operator_frame(spec: TubeSpec, xi: ANVector):
     W_w, then w_perp minus xi.
 
     The frame is parallel along the radial geodesic, so u also expands
-    -J eta at the tube point, eta being the inward normal.  The Jacobi
-    fields start from X0 = [I 0; 0 0], X1 = [-A_xi 0; 0 I]; at t = r
-
-        Zm = C1 X0 + S1 X1 + u u^T ((C2 - C1) X0 + (S2 - S1) X1),
-
-    Zp the same with derivatives, and the operator is Zp Zm^-1.
+    -J eta at the tube point, eta being the inward normal.  The matrix is
+    lambda on the tangent frame and mu on w_perp minus xi, with the block
+    of _tube_block on the unit vectors along Z, P xi and F xi.  The rows of
+    w_perp minus xi are the last k - 1 rows of the Householder reflection
+    that maps the w_perp coordinates of xi to a multiple of e_1.
     """
-    Wspec, r, D = spec.Wspec, spec.r, 2 * spec.n - 1
-    xi_g = _check_unit_normal(Wspec, xi)
-    A = shape_operator(Wspec, xi)
-    d = len(A)
-    N = Wspec.w_perp_basis
-    _, _, rest = np.linalg.svd(N - np.outer(N @ xi_g, xi_g), full_matrices=False)
-    # J xi lies in g_alpha, so the g_alpha parts of the frame rows expand it
-    u = np.vstack([Wspec._frame_rows()[0][:, 1:-1], rest[: D - d]]) @ apply_J(xi_g)
+    lam, mu, _, _, block, u_v = _tube_block(spec, xi)
+    W, d = spec.Wspec, spec.Wspec.tangent_dim
+    v = _galpha_flat(xi)
+    jxi = apply_J(v)
+    x, y = W.w_perp_basis @ v, W.w_perp_basis @ jxi
+    h = x.copy()
+    h[0] += np.copysign(np.linalg.norm(x), x[0])
+    u_n = y[1:] - (2.0 / (h @ h)) * (h @ y) * h[1:]  # rows 1.. of the reflection
+    p = len(W.p_perp_basis)
+    u = np.concatenate([np.zeros(d - p), W.p_perp_basis @ jxi, u_n])
 
-    X0 = np.diag((np.arange(D) < d) * 1.0)
-    X1 = np.eye(D) - X0
-    X1[:d, :d] = -A
-
-    def evolve(c1, s1, c2, s2):
-        return c1 * X0 + s1 * X1 + np.outer(u, u @ ((c2 - c1) * X0 + (s2 - s1) * X1))
-
-    s0 = np.sqrt(-spec.c) / 2
-    a, b = s0 * r, 2 * s0 * r
-    Zm = evolve(np.cosh(a), np.sinh(a) / s0, np.cosh(b), np.sinh(b) / (2 * s0))
-    Zp = evolve(s0 * np.sinh(a), np.cosh(a), 2 * s0 * np.sinh(b), np.cosh(b))
-    return np.linalg.solve(Zm.T, Zp.T).T, u
+    # the unit vectors along Z, P xi and F xi; where P xi or F xi is zero
+    # the block is lambda or mu there already, and its column stays zero
+    E = np.zeros((len(u), len(u_v)))
+    E[1, 0] = 1.0
+    for col, part in enumerate([slice(d - p, d), slice(d, None)][: len(u_v) - 1], 1):
+        E[part, col] = u[part] / (np.linalg.norm(u[part]) or 1.0)
+    S = np.diag(np.where(np.arange(len(u)) < d, lam, mu))
+    S += E @ (block - np.diag([lam, lam, mu][: len(u_v)])) @ E.T
+    return S, u

@@ -163,6 +163,27 @@ class TestLift:
         assert payload["jordan_type"] == "III"
         assert payload["admissible"] is True
 
+    @pytest.mark.parametrize("tol", [1e-15, 1e-17])
+    def test_constraints_judged_at_the_given_tol(self, capsys, tol):
+        # the cartan_pair residual of this lift is 4.4e-16: it passes at
+        # 1e-15 and fails at 1e-17 (both scaled by 1 + |c|)
+        from isoparam import classifier, hopf_lift, tube_geometry
+
+        code, out = run_cli(
+            capsys,
+            "lift", "--example", "tube-chk", "--n", "3", "--k", "1", "--radius", "1",
+            "--tol", str(tol),
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        spec = tube_geometry.standard_spectrum("tube-chk", 3, r=1.0, c=-4.0, k=1)
+        cls = hopf_lift.classify_lift(hopf_lift.hopf_lift_data(spec, -4.0))
+        report = classifier.check_type_constraints(cls, -4.0, tol=tol)
+        assert [(ch["name"], ch["passed"]) for ch in payload["constraints"]] == [
+            (ch.name, ch.passed) for ch in report.checks
+        ]
+        assert payload["admissible"] is report.admissible
+
 
 class TestModuli:
     def test_ch3_unique(self, capsys):

@@ -1,5 +1,6 @@
 """Tests for the Jacobi-field tube calculus and spectra."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from isoparam import (
     InvalidCodimension,
     InvalidK,
     NotNormal,
+    RealSubspace,
     TubeSpec,
     build_w,
     jacobi_scalars,
@@ -25,8 +27,11 @@ from isoparam import (
     tube_char_poly,
     tube_char_roots,
     tube_mean_curvature,
+    tube_lift_data,
     tube_spectrum_at,
+    unitary_conjugate,
 )
+from isoparam import tube_geometry as tg
 from isoparam.indefinite_linalg import cluster
 from isoparam.tube_geometry import angle_factor_cubic, tube_operator_frame
 
@@ -85,6 +90,26 @@ class TestParallelData:
     def test_focal_endpoint(self):
         lam, mu, alpha, beta, focal = parallel_data(1.0, 1.0, C)
         assert lam == 0.0 and mu == np.inf and focal
+
+    def test_large_radius_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for r, t, c in [(400.0, 1.0, -4.0), (400.0, 350.0, -1.0), (30.0, 29.5, -4.0)]:
+                s0 = mpmath.sqrt(-c) / 2
+                q = mpmath.cosh(s0 * r) / mpmath.cosh(s0 * (r - t))
+                want = (q**3 * mpmath.sinh(s0 * t) / s0, q**2)
+                lam, mu, alpha, beta, focal = parallel_data(r, t, c)
+                assert np.isfinite([lam, mu]).all() and not focal
+                for got, ref in zip((alpha, beta), want):
+                    assert abs(got - ref) <= 1e-13 * abs(ref)
+
+    def test_unbounded_data_raise(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for r, t in [(np.inf, 1.0), (np.nan, 0.0), (400.0, 399.0), (800.0, 750.0)]:
+                with pytest.raises(FocalRadius):
+                    parallel_data(r, t, C)
 
     def test_lambda_collapses(self):
         for r in (0.5, 2.0, 5.0):
@@ -390,3 +415,88 @@ class TestTubeOperatorOracle:
                 assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
                 assert [d for d, _ in got_w] == [d for d, _ in want_w]
                 assert np.allclose([x for _, x in got_w], [x for _, x in want_w], rtol=0, atol=1e-12)
+
+
+def oracle_lift_weights(w, n, r, xi):
+    """Sorted eigenvalues and per eigenspace (dimension, |b|) of the per-column
+    assembly on the frames of the row-by-row build_w."""
+    S, u = oracle.tube_operator_frame(oracle.build_w(w, n, C), r, xi)
+    evals, runs = eigen_weights(S, -u)
+    return evals, [(d, np.sqrt(x)) for d, x in runs]
+
+
+def block_lift_weights(data):
+    """The same invariants of tube_lift_data: the expanded spectrum, and per
+    entry its multiplicity and the norm of b on its run."""
+    ents = data.spectrum_down.entries
+    starts = np.cumsum([0] + [a for _, a, _ in ents])
+    return data.spectrum_down.expanded(), [
+        (a, np.linalg.norm(data.b[s:s + a])) for (_, a, _), s in zip(ents, starts)
+    ]
+
+
+def coordinate_subspace(m, rows):
+    """The RealSubspace of C^m spanned by the given interleaved coordinates."""
+    return RealSubspace(m, np.eye(2 * m)[sorted(rows)])
+
+
+class TestTubeBlock:
+    # tube_lift_data on the coupled block against the per-column assembly
+    def assert_matches_oracle(self, w, n, r, xi):
+        W = build_w(w, n, C)
+        data = tube_lift_data(TubeSpec(W, r), xi)
+        got, got_b = block_lift_weights(data)
+        want, want_b = oracle_lift_weights(w, n, r, xi)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+        assert [d for d, _ in got_b] == [d for d, _ in want_b]
+        assert np.allclose([x for _, x in got_b], [x for _, x in want_b], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 10, 30])
+    def test_matches_per_column_assembly(self, n):
+        rng = np.random.default_rng(100 + n)
+        m = n - 1
+        for k in sorted({1, 2, n, 2 * n - 3} & set(range(1, 2 * n - 2))):
+            for r in np.exp(rng.uniform(np.log(0.05), np.log(3.0), 3)):
+                w = random_subspace(m, 2 * m - k, int(rng.integers(2**31)))
+                xi = normal_vector(build_w(w, n, C), rng.standard_normal(k))
+                self.assert_matches_oracle(w, n, r, xi)
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 10])
+    def test_complex_and_totally_real_w_perp(self, n):
+        rng = np.random.default_rng(200 + n)
+        m = n - 1
+        for r in (0.05, 0.7, 3.0):
+            # phi = 0: w_perp = C^1, the first coordinate in a random unitary frame
+            w = unitary_conjugate(coordinate_subspace(m, range(2, 2 * m)), n)
+            W = build_w(w, n, C)
+            xi = normal_vector(W, rng.standard_normal(2))
+            assert normal_kahler_angle(W, xi) < 1e-7 and W.p_perp_basis.shape[0] == 0
+            self.assert_matches_oracle(w, n, r, xi)
+            # phi = pi/2: w_perp = R^m, the real coordinates in a random unitary frame
+            w = unitary_conjugate(coordinate_subspace(m, range(1, 2 * m, 2)), n)
+            W = build_w(w, n, C)
+            xi = normal_vector(W, rng.standard_normal(m))
+            assert abs(normal_kahler_angle(W, xi) - np.pi / 2) < 1e-7
+            self.assert_matches_oracle(w, n, r, xi)
+
+    @pytest.mark.parametrize("n, k", [(2, 1), (3, 1), (3, 2), (4, 4), (6, 9), (10, 3)])
+    def test_bulk_multiplicities(self, n, k):
+        m = n - 1
+        W = build_w(random_subspace(m, 2 * m - k, seed=n + k), n, C)
+        xi = normal_vector(W, np.arange(1.0, k + 1))
+        lam, mu, m_lam, m_mu, block, u = tg._tube_block(TubeSpec(W, 0.9), xi)
+        assert (m_lam, m_mu) == (2 * n - k - 2, max(k - 2, 0))
+        assert block.shape == (len(u), len(u)) == ((2, 2) if k == 1 else (3, 3))
+        assert abs(lam - np.tanh(0.9)) <= 1e-15 and abs(mu - 1 / np.tanh(0.9)) <= 1e-15
+        assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
+
+    def test_inconsistent_frames_trip_the_coupling_guard(self):
+        W = build_w(random_subspace(3, 3, seed=11), 4, C)
+        xi = normal_vector(W, [1.0, 0.5, -0.3])
+        tube_lift_data(TubeSpec(W, 1.0), xi)
+        # w_perp rows 1e-10 too long: still normal within NORMAL_TOL, but
+        # the coupling read off the frames is no longer s0 P J xi
+        bad = dataclasses.replace(W, w_perp_basis=(1 + 1e-10) * W.w_perp_basis)
+        for call in (tube_lift_data, tube_operator_frame):
+            with pytest.raises(NotNormal, match="coupling"):
+                call(TubeSpec(bad, 1.0), xi)
