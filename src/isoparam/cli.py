@@ -24,7 +24,7 @@ from . import classifier, hopf_lift
 from . import kahler_angle as ka
 from . import solvable_model as sm
 from . import tube_geometry as tg
-from .errors import IsoparamError
+from .errors import InvalidK, IsoparamError
 from .verification import SUITES, RunConfig, verify_suites
 
 EXIT_OK = 0
@@ -134,6 +134,13 @@ def _load_subspace(path: str) -> ka.RealSubspace:
         return ka.RealSubspace.from_json(fh.read())
 
 
+def _random_hyperplane(n: int, seed: int) -> ka.RealSubspace:
+    """A random real hyperplane w of C^(n-1)."""
+    if n < 2:
+        raise InvalidK("need n >= 2")
+    return ka.random_subspace(n - 1, 2 * (n - 1) - 1, seed)
+
+
 def _spectrum_record(spec: tg.TubeSpectrum, **extra) -> dict:
     rec = {
         "entries": [[v, a, g] for v, a, g in spec.entries],
@@ -213,7 +220,7 @@ def _cmd_lift(args) -> dict:
             b[int(np.argmax(values))] = 1 / np.sqrt(2)
             data = hopf_lift.LiftedShapeData(spec, b, c)
         else:
-            w = ka.random_subspace(args.n - 1, 2 * (args.n - 1) - 1, args.seed)
+            w = _random_hyperplane(args.n, args.seed)
             W = sm.build_w(w, args.n, c)
             xi = W.normal_frame()[0]
             data = hopf_lift.tube_lift_data(tg.TubeSpec(W, args.radius), xi)
@@ -267,7 +274,7 @@ def _cmd_horocycle(args) -> dict:
     if args.subspace:
         w = _load_subspace(args.subspace)
     else:
-        w = ka.random_subspace(n - 1, 2 * (n - 1) - 1, args.seed)  # random hyperplane
+        w = _random_hyperplane(n, args.seed)
     W = sm.build_w(w, n, c)
     if w.dim == 0:
         raise ValueError("w must contain a direction for the horocycle")
@@ -407,6 +414,13 @@ _DEFAULT_OUTPUT = {
 }
 
 
+def _error(kind: str, message: str, code: int) -> int:
+    """Print the machine-readable error record; returns the exit code."""
+    record = {"error": {"type": kind, "message": message}}
+    sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
+    return code
+
+
 def run(argv: Optional[list[str]] = None) -> int:
     """Parse argv, run the subcommand, print the report; returns the exit code."""
     parser = _build_parser()
@@ -416,26 +430,11 @@ def run(argv: Optional[list[str]] = None) -> int:
             raise UsageError("a subcommand is required")
         record = _COMMANDS[args.command](args)
     except UsageError as exc:
-        sys.stdout.write(
-            json.dumps({"error": {"type": "usage", "message": str(exc)}}, sort_keys=True) + "\n"
-        )
-        return EXIT_USAGE
+        return _error("usage", str(exc), EXIT_USAGE)
     except FileNotFoundError as exc:
-        sys.stdout.write(
-            json.dumps(
-                {"error": {"type": "file_not_found", "message": str(exc)}}, sort_keys=True
-            )
-            + "\n"
-        )
-        return EXIT_NOINPUT
+        return _error("file_not_found", str(exc), EXIT_NOINPUT)
     except (IsoparamError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        sys.stdout.write(
-            json.dumps(
-                {"error": {"type": type(exc).__name__, "message": str(exc)}}, sort_keys=True
-            )
-            + "\n"
-        )
-        return EXIT_VALIDATION
+        return _error(type(exc).__name__, str(exc), EXIT_VALIDATION)
     _emit(args.command, record, args.output or _DEFAULT_OUTPUT[args.command])
     if args.command == "verify" and not record["ok"]:
         return EXIT_VALIDATION

@@ -282,9 +282,7 @@ def project_spectrum(cls: JordanClassification, c: float) -> TubeSpectrum:
                 raw.append((v, m - 1))
         known = sum(m for _, m in raw)
         values = [v for v, m in raw for _ in range(m)]
-        return spectrum_from_values(
-            values, unresolved_dims=dim_down - known, family="w-tube"
-        ) if values else TubeSpectrum((), unresolved_dims=dim_down, family="w-tube")
+        return spectrum_from_values(values, unresolved_dims=dim_down - known, family="w-tube")
     else:
         raise ConstraintViolation(f"unknown type {cls.jtype!r}")
 

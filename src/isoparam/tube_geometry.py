@@ -324,6 +324,8 @@ def standard_spectrum(example: str, n: int, r: float = None, c: float = -4.0, k:
 def lohnherr_spectrum(n: int, c: float = -4.0) -> TubeSpectrum:
     """Principal curvatures of the minimal ruled hypersurface W^(2n-1):
     {-sqrt(-c)/2, 0, +sqrt(-c)/2} with multiplicities {1, 2n-3, 1}."""
+    if n < 2:
+        raise InvalidK("need n >= 2")
     check_curvature(c)
     s0 = np.sqrt(-c) / 2
     return TubeSpectrum(((-s0, 1, 1), (0.0, 2 * n - 3, 2 * n - 3), (s0, 1, 1)))

@@ -1,16 +1,17 @@
 """Randomized verification suites for the library invariants.
 
 Each suite replays the defining identities of one module on seeded random
-data and reports structured pass/fail records: failures are data, not
-exceptions.  Results are deterministic in (seed, suite): every check
-derives its own generator from the run seed and a fixed check index, so
-aggregation order does not matter.
+data and returns its checks as the dicts that `schemas/verify.json`
+describes: failures are data, not exceptions.  Results are deterministic
+in (seed, suite): every check derives its own generator from the run seed
+and a fixed check index, so aggregation order does not matter.  Random
+objects come from one sampler each: `_lorentz_operator`, `_random_w`,
+`_unit_normal` and `_standard`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,71 +33,25 @@ class RunConfig:
         check_seed(self.seed)
 
 
-@dataclass
-class CheckResult:
-    module: str
-    name: str
-    samples: int
-    max_residual: float
-    tol: float
-    passed: bool
-    worst_input: Optional[dict] = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "module": self.module,
-            "name": self.name,
-            "samples": self.samples,
-            "max_residual": self.max_residual,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
-        if not self.passed and self.worst_input is not None:
-            out["worst_input"] = self.worst_input
-        return out
-
-
-@dataclass
-class SuiteResult:
-    suite: str
-    checks: list[CheckResult] = field(default_factory=list)
-
-    @property
-    def passed(self) -> int:
-        return sum(1 for ch in self.checks if ch.passed)
-
-    @property
-    def failed(self) -> int:
-        return len(self.checks) - self.passed
-
-    def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "passed": self.passed,
-            "failed": self.failed,
-            "checks": [ch.to_dict() for ch in self.checks],
-        }
-
-
 def _rng(config: RunConfig, suite: str, index: int) -> np.random.Generator:
     return np.random.default_rng([config.seed, SUITES.index(suite), index])
 
 
-def _record(results, module, name, residuals, tol, inputs=None):
+def _record(checks, module, name, residuals, tol, inputs=None):
+    """Append one check record; a failed one names the input of its worst residual."""
     residuals = np.atleast_1d(np.asarray(residuals, dtype=float))
-    worst = int(np.argmax(residuals)) if residuals.size else 0
     max_res = float(residuals.max()) if residuals.size else 0.0
-    results.append(
-        CheckResult(
-            module=module,
-            name=name,
-            samples=int(residuals.size),
-            max_residual=max_res,
-            tol=tol,
-            passed=bool(max_res <= tol),
-            worst_input=None if inputs is None else inputs[worst],
-        )
-    )
+    check = {
+        "module": module,
+        "name": name,
+        "samples": int(residuals.size),
+        "max_residual": max_res,
+        "tol": tol,
+        "passed": bool(max_res <= tol),
+    }
+    if not check["passed"] and inputs is not None:
+        check["worst_input"] = inputs[int(np.argmax(residuals))]
+    checks.append(check)
 
 
 def _random_flat(rng, n) -> np.ndarray:
@@ -105,6 +60,33 @@ def _random_flat(rng, n) -> np.ndarray:
     out = np.empty(2 * n)
     out[0], out[1:-1:2], out[2:-1:2], out[-1] = a, re, im, rng.standard_normal()
     return out
+
+
+def _lorentz_operator(rng, dim: int):
+    """A random operator self-adjoint for diag(-1, 1, ..., 1); returns (A, gram)."""
+    gram = np.diag([-1.0] + [1.0] * (dim - 1))
+    S = rng.standard_normal((dim, dim))
+    return np.linalg.solve(gram, 0.5 * (S + S.T)), gram
+
+
+def _random_w(rng, n: int, k: int, cc: float) -> sm.SubmanifoldW:
+    """W_w for a random w in C^(n-1) with dim w_perp = k."""
+    m = n - 1
+    w = ka.random_subspace(m, 2 * m - k, int(rng.integers(2**31)))
+    return sm.build_w(w, n, cc)
+
+
+def _unit_normal(rng, W: sm.SubmanifoldW, cc: float) -> sm.ANVector:
+    """A random unit vector of w_perp, as a normal of W."""
+    v = W.w_perp_basis.T @ rng.standard_normal(W.k)
+    v /= np.linalg.norm(v)
+    return sm.ANVector(0.0, v[0::2] + 1j * v[1::2], 0.0, cc)
+
+
+def _standard(rng, fam: str, n: int, r: float, cc: float):
+    """A named-family spectrum, drawing k for tube-chk; returns (spectrum, k)."""
+    k = int(rng.integers(0, n)) if fam == "tube-chk" else None
+    return tg.standard_spectrum(fam, n, r=r, c=cc, k=k), k
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +117,9 @@ def _profile_gap(e1, e2) -> float:
     return max((abs(a1 - a2) for (a1, _), (a2, _) in zip(e1, e2)), default=0.0)
 
 
-def _suite_kahler(config: RunConfig) -> SuiteResult:
+def _suite_kahler(config: RunConfig) -> list[dict]:
     """The Kahler-angle invariants, run as stacks: one QR / SVD / eigh per (m, k) group."""
-    out = SuiteResult("kahler")
+    checks = []
 
     inputs, groups = _kahler_draws(_rng(config, "kahler", 0), 1000, 0)
     res = np.empty(len(inputs))
@@ -147,7 +129,7 @@ def _suite_kahler(config: RunConfig) -> SuiteResult:
         conj = ka.kahler_profiles(ka.unitary_images(B, [seed + 1 for seed in seeds]))
         for t, (pb, _, _), (pc, _, _) in zip(idx, base, conj):
             res[t] = _profile_gap(pb.entries, pc.entries)
-    _record(out.checks, "kahler_angle", "profile_unitary_invariance", res, 1e-8, inputs)
+    _record(checks, "kahler_angle", "profile_unitary_invariance", res, 1e-8, inputs)
 
     inputs, groups = _kahler_draws(_rng(config, "kahler", 1), 300, 0)
     res = np.empty(len(inputs))
@@ -157,7 +139,7 @@ def _suite_kahler(config: RunConfig) -> SuiteResult:
         comp = ka.kahler_profiles(ka._complement_rows(B, 2 * m))
         for t, (pb, _, _), (pc, _, _) in zip(idx, base, comp):
             res[t] = _profile_gap(pb.nonzero_entries(), pc.nonzero_entries())
-    _record(out.checks, "kahler_angle", "complement_angle_matching", res, 1e-8, inputs)
+    _record(checks, "kahler_angle", "complement_angle_matching", res, 1e-8, inputs)
 
     _, groups = _kahler_draws(_rng(config, "kahler", 2), 200, 1)
     res = np.empty(200)
@@ -165,7 +147,7 @@ def _suite_kahler(config: RunConfig) -> SuiteResult:
         B = ka.random_bases(m, k, seeds)
         K = ka.apply_J(B) @ B.mT  # F in the basis coordinates
         res[idx] = np.abs(K + K.mT).max(axis=(1, 2))
-    _record(out.checks, "kahler_angle", "f_skew_adjoint", res, 1e-10)
+    _record(checks, "kahler_angle", "f_skew_adjoint", res, 1e-10)
 
     _, groups = _kahler_draws(_rng(config, "kahler", 3), 200, 1)
     res = np.empty(200)
@@ -186,7 +168,7 @@ def _suite_kahler(config: RunConfig) -> SuiteResult:
         F = project(ka.apply_J(xi))
         F2 = project(ka.apply_J(F))
         res[idx] = np.abs(F2 + cos_sq[..., None] * xi).max(axis=(1, 2))
-    _record(out.checks, "kahler_angle", "f_squared_identity", res, 1e-9)
+    _record(checks, "kahler_angle", "f_squared_identity", res, 1e-9)
 
     _, groups = _kahler_draws(_rng(config, "kahler", 4), 300, 0)
     res = np.empty(300)
@@ -197,9 +179,9 @@ def _suite_kahler(config: RunConfig) -> SuiteResult:
                 for a, mult in profile.entries
                 if a < np.pi / 2 - ka.ANGLE_TOL and mult % 2
             )
-    _record(out.checks, "kahler_angle", "multiplicity_parity", res, 0.0)
+    _record(checks, "kahler_angle", "multiplicity_parity", res, 0.0)
 
-    return out
+    return checks
 
 
 def _random_isometry(rng, gram: np.ndarray, scale: float = 0.3) -> np.ndarray:
@@ -215,26 +197,20 @@ def _random_isometry(rng, gram: np.ndarray, scale: float = 0.3) -> np.ndarray:
     return T
 
 
-def _suite_jordan(config: RunConfig) -> SuiteResult:
-    out = SuiteResult("jordan")
+def _suite_jordan(config: RunConfig) -> list[dict]:
+    checks = []
 
     rng = _rng(config, "jordan", 0)
     res = []
     for trial in range(100):
-        dim = int(rng.integers(2, 6))
-        gram = np.diag([-1.0] + [1.0] * (dim - 1))
-        S = rng.standard_normal((dim, dim))
-        A = np.linalg.solve(gram, 0.5 * (S + S.T))
+        A, gram = _lorentz_operator(rng, int(rng.integers(2, 6)))
         res.append(max(il.classify_jordan(A, gram).residuals(A, gram)))
-    _record(out.checks, "indefinite_linalg", "canonical_basis_reconstruction", res, 1e-9)
+    _record(checks, "indefinite_linalg", "canonical_basis_reconstruction", res, 1e-9)
 
     rng = _rng(config, "jordan", 1)
     res = []
     for trial in range(100):
-        dim = int(rng.integers(2, 6))
-        gram = np.diag([-1.0] + [1.0] * (dim - 1))
-        S = rng.standard_normal((dim, dim))
-        A = np.linalg.solve(gram, 0.5 * (S + S.T))
+        A, gram = _lorentz_operator(rng, int(rng.integers(2, 6)))
         cls = il.classify_jordan(A, gram)
         T = _random_isometry(rng, gram)
         cls2 = il.classify_jordan(np.linalg.solve(T, A @ T), gram)
@@ -253,14 +229,12 @@ def _suite_jordan(config: RunConfig) -> SuiteResult:
                 abs(cls.complex_pair[1] - cls2.complex_pair[1]),
             )
         res.append(worst)
-    _record(out.checks, "indefinite_linalg", "conjugation_invariance", res, 1e-8)
+    _record(checks, "indefinite_linalg", "conjugation_invariance", res, 1e-8)
 
     rng = _rng(config, "jordan", 2)
     res = []
     for trial in range(100):
-        gram = np.diag([-1.0, 1.0, 1.0, 1.0])
-        S = rng.standard_normal((4, 4))
-        A = np.linalg.solve(gram, 0.5 * (S + S.T))
+        A, gram = _lorentz_operator(rng, 4)
         cls = il.classify_jordan(A, gram)
         worst = 0.0
         if any(a < g for _, a, g in cls.real_eigs):
@@ -272,13 +246,13 @@ def _suite_jordan(config: RunConfig) -> SuiteResult:
             if count != alg:
                 worst = np.inf
         res.append(worst)
-    _record(out.checks, "indefinite_linalg", "alg_geo_vs_dense_oracle", res, 0.0)
+    _record(checks, "indefinite_linalg", "alg_geo_vs_dense_oracle", res, 0.0)
 
-    return out
+    return checks
 
 
-def _suite_group(config: RunConfig) -> SuiteResult:
-    out = SuiteResult("group")
+def _suite_group(config: RunConfig) -> list[dict]:
+    checks = []
     cc = config.curvature_c
 
     rng = _rng(config, "group", 0)
@@ -305,10 +279,10 @@ def _suite_group(config: RunConfig) -> SuiteResult:
         res_c.extend(np.linalg.norm(R1 - R2, axis=1))
         cyc = br(X, br(Y, Z)) + br(Y, br(Z, X)) + br(Z, br(X, Y))
         res_j.extend(np.linalg.norm(cyc, axis=1))
-    _record(out.checks, "solvable_model", "torsion_free", res_t, 1e-10)
-    _record(out.checks, "solvable_model", "metric_compatibility", res_m, 1e-10)
-    _record(out.checks, "solvable_model", "curvature_vs_connection", res_c, 1e-9)
-    _record(out.checks, "solvable_model", "jacobi_identity", res_j, 1e-10)
+    _record(checks, "solvable_model", "torsion_free", res_t, 1e-10)
+    _record(checks, "solvable_model", "metric_compatibility", res_m, 1e-10)
+    _record(checks, "solvable_model", "curvature_vs_connection", res_c, 1e-9)
+    _record(checks, "solvable_model", "jacobi_identity", res_j, 1e-10)
 
     rng = _rng(config, "group", 1)
     res = []
@@ -318,51 +292,42 @@ def _suite_group(config: RunConfig) -> SuiteResult:
         left = sm._product(sm._product(p1, p2, cc), p3, cc)
         right = sm._product(p1, sm._product(p2, p3, cc), cc)
         res.append(np.linalg.norm(left - right))
-    _record(out.checks, "solvable_model", "associativity", res, 1e-10)
+    _record(checks, "solvable_model", "associativity", res, 1e-10)
 
     rng = _rng(config, "group", 2)
     res = []
     for trial in range(20):
         n = int(rng.integers(2, 6))
-        m = n - 1
-        k = int(rng.integers(1, 2 * m + 1))
-        w = ka.random_subspace(m, 2 * m - k, int(rng.integers(2**31)))
-        W = sm.build_w(w, n, cc)
+        W = _random_w(rng, n, int(rng.integers(1, 2 * n - 1)), cc)
         p = np.zeros(2 * n)
         for _ in range(200):
             step = np.zeros(2 * n)
             step[0], step[-1] = 0.15 * rng.standard_normal(2)
-            if w.dim:
-                step[1:-1] = (0.2 * rng.standard_normal(w.dim)) @ w.basis
+            if W.w.dim:
+                step[1:-1] = (0.2 * rng.standard_normal(W.w.dim)) @ W.w.basis
             p = sm._product(p, step, cc)
         res.append(np.linalg.norm(W.w_perp_basis @ p[1:-1]))
-    _record(out.checks, "solvable_model", "subgroup_closure_200_factors", res, 1e-9)
+    _record(checks, "solvable_model", "subgroup_closure_200_factors", res, 1e-9)
 
     rng = _rng(config, "group", 3)
     res = []
     for trial in range(50):
         n = int(rng.integers(2, 6))
-        m = n - 1
-        k = int(rng.integers(1, 2 * m + 1))
-        w = ka.random_subspace(m, 2 * m - k, int(rng.integers(2**31)))
-        W = sm.build_w(w, n, cc)
+        W = _random_w(rng, n, int(rng.integers(1, 2 * n - 1)), cc)
         worst = 0.0
         for xi in W.normal_frame():
             worst = max(worst, abs(np.trace(sm.shape_operator(W, xi))))
         res.append(worst)
-    _record(out.checks, "solvable_model", "minimality_exact_trace", res, 0.0)
+    _record(checks, "solvable_model", "minimality_exact_trace", res, 0.0)
 
     rng = _rng(config, "group", 5)
     res = []
     for trial in range(15):
         n = int(rng.integers(2, 6))
-        m = n - 1
-        k = int(rng.integers(1, 2 * m + 1))
-        w = ka.random_subspace(m, 2 * m - k, int(rng.integers(2**31)))
-        W = sm.build_w(w, n, cc)
+        W = _random_w(rng, n, int(rng.integers(1, 2 * n - 1)), cc)
         rng.integers(2**31)  # unused seed draw: keeps later draws, and the per-seed verdicts
         res.extend(sm.fundamental_equation_residuals(W))
-    _record(out.checks, "solvable_model", "gauss_codazzi_ricci", res, 1e-10)
+    _record(checks, "solvable_model", "gauss_codazzi_ricci", res, 1e-10)
 
     rng = _rng(config, "group", 4)
     res = []
@@ -382,13 +347,13 @@ def _suite_group(config: RunConfig) -> SuiteResult:
         for _ in range(3):
             p = sm._product(p, float(rng.uniform(-2, 2)) * U, cc)
         res.append(np.linalg.norm(W.w_perp_basis @ p[1:-1]))
-    _record(out.checks, "solvable_model", "horocycle_membership", res, 1e-9)
+    _record(checks, "solvable_model", "horocycle_membership", res, 1e-9)
 
-    return out
+    return checks
 
 
-def _suite_tube(config: RunConfig) -> SuiteResult:
-    out = SuiteResult("tube")
+def _suite_tube(config: RunConfig) -> list[dict]:
+    checks = []
     cc = config.curvature_c
 
     rng = _rng(config, "tube", 0)
@@ -402,7 +367,7 @@ def _suite_tube(config: RunConfig) -> SuiteResult:
         H = tg.tube_mean_curvature(n, k, r, cc)
         res.append(abs(roots.sum() - H) / abs(H))
         inputs.append({"n": n, "k": k, "r": r, "phi": phi})
-    _record(out.checks, "tube_geometry", "trace_identity", res, 1e-9, inputs)
+    _record(checks, "tube_geometry", "trace_identity", res, 1e-9, inputs)
 
     rng = _rng(config, "tube", 1)
     res = []
@@ -411,24 +376,23 @@ def _suite_tube(config: RunConfig) -> SuiteResult:
         mu = s0 / np.tanh(s0 * r)
         g, _, _, _ = tg.jacobi_scalars(mu, r, cc)
         res.append(abs(g))
-    _record(out.checks, "tube_geometry", "focal_collapse_g_mu", res, 1e-12)
+    _record(checks, "tube_geometry", "focal_collapse_g_mu", res, 1e-12)
 
     res = []
     for r in np.linspace(0.2, 5.0, 50):
         lam, mu, alpha, beta, focal = tg.parallel_data(r, r - 1e-6, cc)
         res.append(lam / np.sqrt(-cc))
-    _record(out.checks, "tube_geometry", "focal_collapse_lambda", res, 1e-5)
+    _record(checks, "tube_geometry", "focal_collapse_lambda", res, 1e-5)
 
     rng = _rng(config, "tube", 2)
     res = []
     for trial in range(100):
         r = float(rng.uniform(0.3, 3.0))
         ts = np.linspace(0, r * 0.999, 30)
-        lams = [tg.parallel_data(r, t, cc)[0] for t in ts]
-        mus = [tg.parallel_data(r, t, cc)[1] for t in ts]
+        lams, mus = zip(*(tg.parallel_data(r, t, cc)[:2] for t in ts))
         bad = float(np.any(np.diff(lams) >= 0)) + float(np.any(np.diff(mus) <= 0))
         res.append(bad)
-    _record(out.checks, "tube_geometry", "monotone_evolution", res, 0.0)
+    _record(checks, "tube_geometry", "monotone_evolution", res, 0.0)
 
     rng = _rng(config, "tube", 3)
     res = []
@@ -444,13 +408,12 @@ def _suite_tube(config: RunConfig) -> SuiteResult:
     for trial in range(100):
         r = float(rng.uniform(0.7, 3.0))
         t = float(rng.uniform(0.05 * r, min(0.9 * r, r - 0.2)))
-        lam_p = _d5(lambda t_: tg.parallel_data(r, t_, cc)[0], t)
-        mu_p = _d5(lambda t_: tg.parallel_data(r, t_, cc)[1], t)
+        lam_p, mu_p = _d5(lambda t_: np.array(tg.parallel_data(r, t_, cc)[:2]), t)
         lam, mu = tg.parallel_data(r, t, cc)[:2]
         # moving toward the focal set: d(lam)/dt = lam^2 + c/4
         res.append(abs(lam_p - (lam**2 + cc / 4)))
         res.append(abs(mu_p - (mu**2 + cc / 4)))
-    _record(out.checks, "tube_geometry", "riccati_evolution", res, 1e-8)
+    _record(checks, "tube_geometry", "riccati_evolution", res, 1e-8)
 
     rng = _rng(config, "tube", 4)
     res = []
@@ -466,35 +429,29 @@ def _suite_tube(config: RunConfig) -> SuiteResult:
         lam2 = np.sqrt(-cc * s**2) / 2 * np.tanh(np.sqrt(-cc * s**2) / 2 * (r / s))
         roots2 = tg._poly_roots(tg.angle_factor_cubic(lam2, np.pi / 2, cc * s**2))
         res.append(np.abs(np.sort(roots2) - s * np.sort(roots)).max())
-    _record(out.checks, "tube_geometry", "pi2_cubic_real_roots_and_scaling", res, 1e-8)
+    _record(checks, "tube_geometry", "pi2_cubic_real_roots_and_scaling", res, 1e-8)
 
     rng = _rng(config, "tube", 5)
     res, inputs = [], []
     for trial in range(100):
         n = int(rng.integers(2, 6))
-        m = n - 1
         k = int(rng.integers(1, 2 * n - 2))
-        w = ka.random_subspace(m, 2 * m - k, int(rng.integers(2**31)))
-        W = sm.build_w(w, n, cc)
+        W = _random_w(rng, n, k, cc)
         r = float(rng.uniform(0.2, 2.5))
-        spec = tg.TubeSpec(W, r)
-        coef = rng.standard_normal(k)
-        v = W.w_perp_basis.T @ coef
-        v /= np.linalg.norm(v)
-        xi = sm.ANVector(0.0, v[0::2] + 1j * v[1::2], 0.0, cc)
-        S = tg.numeric_shape_operator(spec, xi)
+        xi = _unit_normal(rng, W, cc)
+        S = tg.numeric_shape_operator(tg.TubeSpec(W, r), xi)
         evals = np.linalg.eigvalsh(0.5 * (S + S.T))
         phi = tg.normal_kahler_angle(W, xi)
         roots = tg.tube_char_roots(n, k, r, phi, cc)
         res.append(np.abs(np.sort(evals) - roots).max())
         inputs.append({"n": n, "k": k, "r": r, "phi": phi})
-    _record(out.checks, "tube_geometry", "numeric_vs_charpoly", res, 1e-8, inputs)
+    _record(checks, "tube_geometry", "numeric_vs_charpoly", res, 1e-8, inputs)
 
-    return out
+    return checks
 
 
-def _suite_lift(config: RunConfig) -> SuiteResult:
-    out = SuiteResult("lift")
+def _suite_lift(config: RunConfig) -> list[dict]:
+    checks = []
     cc = config.curvature_c
 
     rng = _rng(config, "lift", 0)
@@ -504,8 +461,7 @@ def _suite_lift(config: RunConfig) -> SuiteResult:
         r = float(rng.uniform(0.2, 2.5))
         n = int(rng.integers(2, 7))
         for fam, etype in expected.items():
-            k = int(rng.integers(0, n)) if fam == "tube-chk" else None
-            spec = tg.standard_spectrum(fam, n, r=r, c=cc, k=k)
+            spec, k = _standard(rng, fam, n, r, cc)
             cls = hopf_lift.classify_lift(hopf_lift.hopf_lift_data(spec, cc))
             down = hopf_lift.project_spectrum(cls, cc)
             bad = 0.0 if cls.jtype == etype else np.inf
@@ -517,19 +473,17 @@ def _suite_lift(config: RunConfig) -> SuiteResult:
             )
             res.append(max(bad, worst_v))
             inputs.append({"family": fam, "n": n, "r": r, "k": k})
-    _record(out.checks, "hopf_lift", "standard_family_round_trip", res, 1e-8, inputs)
+    _record(checks, "hopf_lift", "standard_family_round_trip", res, 1e-8, inputs)
 
     rng = _rng(config, "lift", 1)
     res = []
     for trial in range(100):
         n = int(rng.integers(2, 7))
         r = float(rng.uniform(0.2, 2.5))
-        fam = ["tube-chk", "horosphere", "tube-rhn"][trial % 3]
-        k = int(rng.integers(0, n)) if fam == "tube-chk" else None
-        spec = tg.standard_spectrum(fam, n, r=r, c=cc, k=k)
+        spec, _ = _standard(rng, ["tube-chk", "horosphere", "tube-rhn"][trial % 3], n, r, cc)
         M, _ = hopf_lift.lift_shape_operator(hopf_lift.hopf_lift_data(spec, cc))
         res.append(abs(np.trace(M) - spec.trace()))
-    _record(out.checks, "hopf_lift", "trace_preservation", res, 1e-12)
+    _record(checks, "hopf_lift", "trace_preservation", res, 1e-12)
 
     rng = _rng(config, "lift", 2)
     res = []
@@ -540,46 +494,35 @@ def _suite_lift(config: RunConfig) -> SuiteResult:
         lam = cls.real_eigs[0][0]
         bad = 0.0 if cls.jtype == "II" else np.inf
         res.append(max(bad, abs(abs(lam) - np.sqrt(-cc) / 2)))
-    _record(out.checks, "hopf_lift", "type_ii_eigenvalue_half", res, 1e-10)
+    _record(checks, "hopf_lift", "type_ii_eigenvalue_half", res, 1e-10)
 
     rng = _rng(config, "lift", 3)
     res, inputs = [], []
     for trial in range(40):
         n = int(rng.integers(3, 6))
-        m = n - 1
         k = int(rng.integers(2, 2 * n - 2))
-        w = ka.random_subspace(m, 2 * m - k, int(rng.integers(2**31)))
-        W = sm.build_w(w, n, cc)
+        W = _random_w(rng, n, k, cc)
         r = float(rng.uniform(0.3, 2.0))
-        spec = tg.TubeSpec(W, r)
-        xi = None
-        for attempt in range(100):
-            coef = rng.standard_normal(k)
-            v = W.w_perp_basis.T @ coef
-            v /= np.linalg.norm(v)
-            cand = sm.ANVector(0.0, v[0::2] + 1j * v[1::2], 0.0, cc)
-            if tg.normal_kahler_angle(W, cand) > 0.1:
-                xi = cand
-                break
+        inputs.append({"n": n, "k": k, "r": r})
+        normals = (_unit_normal(rng, W, cc) for _ in range(100))  # drawn until one is found
+        xi = next((v for v in normals if tg.normal_kahler_angle(W, v) > 0.1), None)
         if xi is None:
             res.append(0.0)  # w_perp is complex: no type III direction exists
-            inputs.append({"n": n, "k": k, "r": r})
             continue
-        cls = hopf_lift.classify_lift(hopf_lift.tube_lift_data(spec, xi))
+        cls = hopf_lift.classify_lift(hopf_lift.tube_lift_data(tg.TubeSpec(W, r), xi))
         lam = cls.defective_eig
         bad = 0.0 if cls.jtype == "III" else np.inf
         if lam is None or abs(lam) >= np.sqrt(-cc) / 2:
             bad = np.inf
         lam_true = np.sqrt(-cc) / 2 * np.tanh(np.sqrt(-cc) / 2 * r)
         res.append(max(bad, abs(lam - lam_true)))
-        inputs.append({"n": n, "k": k, "r": r})
-    _record(out.checks, "hopf_lift", "w_tube_type_iii", res, 1e-8, inputs)
+    _record(checks, "hopf_lift", "w_tube_type_iii", res, 1e-8, inputs)
 
-    return out
+    return checks
 
 
-def _suite_cartan(config: RunConfig) -> SuiteResult:
-    out = SuiteResult("cartan")
+def _suite_cartan(config: RunConfig) -> list[dict]:
+    checks = []
     cc = config.curvature_c
     s0 = np.sqrt(-cc) / 2
 
@@ -593,7 +536,7 @@ def _suite_cartan(config: RunConfig) -> SuiteResult:
         spectrum = [(lam, m1), (mu, m2)]
         res.append(abs(classifier.cartan_residual(spectrum, 0, cc)))
         res.append(abs(classifier.cartan_residual(spectrum, 1, cc)))
-    _record(out.checks, "classifier", "type_i_pair_residual", res, 1e-9)
+    _record(checks, "classifier", "type_i_pair_residual", res, 1e-9)
 
     rng = _rng(config, "cartan", 1)
     res = []
@@ -601,13 +544,12 @@ def _suite_cartan(config: RunConfig) -> SuiteResult:
         n = int(rng.integers(2, 6))
         r = float(rng.uniform(0.2, 2.5))
         for fam in ("tube-chk", "horosphere", "tube-rhn"):
-            k = int(rng.integers(0, n)) if fam == "tube-chk" else None
-            spec = tg.standard_spectrum(fam, n, r=r, c=cc, k=k)
+            spec, _ = _standard(rng, fam, n, r, cc)
             cls = hopf_lift.classify_lift(hopf_lift.hopf_lift_data(spec, cc))
             upstairs = [(v, a) for v, a, _ in cls.real_eigs]
             for i in range(len(upstairs)):
                 res.append(abs(classifier.cartan_residual(upstairs, i, cc)))
-    _record(out.checks, "classifier", "lifted_spectrum_residual", res, 1e-9)
+    _record(checks, "classifier", "lifted_spectrum_residual", res, 1e-9)
 
     res = []
     xs = np.linspace(0.01, 4.0, 100)
@@ -618,9 +560,9 @@ def _suite_cartan(config: RunConfig) -> SuiteResult:
                 continue
             value, predicate = classifier.inside_cartan_phi(float(x), float(p), cc)
             res.append(0.0 if (value > 0) == predicate else np.inf)
-    _record(out.checks, "classifier", "phi_filter_grid_agreement", res, 0.0)
+    _record(checks, "classifier", "phi_filter_grid_agreement", res, 0.0)
 
-    return out
+    return checks
 
 
 _SUITE_RUNNERS = {
@@ -642,12 +584,18 @@ def verify_suites(config: RunConfig, suites=SUITES) -> dict:
     unknown = [s for s in suites if s not in _SUITE_RUNNERS]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
-    results = [_SUITE_RUNNERS[s](config) for s in suites]
+    results = []
+    for name in suites:
+        checks = _SUITE_RUNNERS[name](config)
+        passed = sum(ch["passed"] for ch in checks)
+        results.append(
+            {"suite": name, "passed": passed, "failed": len(checks) - passed, "checks": checks}
+        )
     return {
         "seed": config.seed,
         "curvature": config.curvature_c,
-        "suites": [r.to_dict() for r in results],
-        "passed": sum(r.passed for r in results),
-        "failed": sum(r.failed for r in results),
-        "ok": all(r.failed == 0 for r in results),
+        "suites": results,
+        "passed": sum(r["passed"] for r in results),
+        "failed": sum(r["failed"] for r in results),
+        "ok": all(r["failed"] == 0 for r in results),
     }

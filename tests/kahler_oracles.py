@@ -12,7 +12,7 @@ import numpy as np
 
 from isoparam import kahler_angle as ka
 from isoparam.indefinite_linalg import cluster
-from isoparam.verification import SuiteResult, _record, _rng
+from isoparam.verification import _record, _rng
 
 
 def random_subspace(m, k, seed):
@@ -76,8 +76,8 @@ def invariant(W):
 
 
 def suite_kahler(config):
-    """The kahler verify suite, one subspace at a time."""
-    out = SuiteResult("kahler")
+    """The kahler verify suite, one subspace at a time: its list of check records."""
+    checks = []
 
     rng = _rng(config, "kahler", 0)
     res, inputs = [], []
@@ -100,7 +100,7 @@ def suite_kahler(config):
                 )
             )
         inputs.append({"m": m, "k": k, "seed": seed})
-    _record(out.checks, "kahler_angle", "profile_unitary_invariance", res, 1e-8, inputs)
+    _record(checks, "kahler_angle", "profile_unitary_invariance", res, 1e-8, inputs)
 
     rng = _rng(config, "kahler", 1)
     res, inputs = [], []
@@ -116,7 +116,7 @@ def suite_kahler(config):
         else:
             res.append(max((abs(a1 - a2) for (a1, _), (a2, _) in zip(p1, p2)), default=0.0))
         inputs.append({"m": m, "k": k, "seed": seed})
-    _record(out.checks, "kahler_angle", "complement_angle_matching", res, 1e-8, inputs)
+    _record(checks, "kahler_angle", "complement_angle_matching", res, 1e-8, inputs)
 
     rng = _rng(config, "kahler", 2)
     res = []
@@ -127,7 +127,7 @@ def suite_kahler(config):
         B = W.basis
         K = ka.apply_J(B) @ B.T
         res.append(np.abs(K + K.T).max())
-    _record(out.checks, "kahler_angle", "f_skew_adjoint", res, 1e-10)
+    _record(checks, "kahler_angle", "f_skew_adjoint", res, 1e-10)
 
     rng = _rng(config, "kahler", 3)
     res = []
@@ -143,7 +143,7 @@ def suite_kahler(config):
                 F2 = W.project(ka.apply_J(F))
                 worst = max(worst, np.abs(F2 + np.cos(angle) ** 2 * xi).max())
         res.append(worst)
-    _record(out.checks, "kahler_angle", "f_squared_identity", res, 1e-9)
+    _record(checks, "kahler_angle", "f_squared_identity", res, 1e-9)
 
     rng = _rng(config, "kahler", 4)
     res = []
@@ -158,6 +158,6 @@ def suite_kahler(config):
             if a < np.pi / 2 - ka.ANGLE_TOL and mult % 2
         )
         res.append(float(bad))
-    _record(out.checks, "kahler_angle", "multiplicity_parity", res, 0.0)
+    _record(checks, "kahler_angle", "multiplicity_parity", res, 0.0)
 
-    return out
+    return checks

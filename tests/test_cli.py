@@ -7,8 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from isoparam import random_subspace
+from isoparam import random_subspace, verification
 from isoparam.cli import EXIT_NOINPUT, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, run
+from isoparam.verification import _record
 from test_readme_cli import strict_json
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -217,6 +218,53 @@ class TestVerify:
         code, out = run_cli(capsys, "verify", "--suite", "bogus")
         assert code == EXIT_VALIDATION
 
+    INPUTS = [{"n": 2}, {"n": 3}, {"n": 4}]
+
+    def test_failed_check_names_its_worst_input(self):
+        checks = []
+        _record(checks, "tube_geometry", "probe", [0.1, 3.0, 0.2], 1e-9, self.INPUTS)
+        assert checks == [
+            {
+                "module": "tube_geometry",
+                "name": "probe",
+                "samples": 3,
+                "max_residual": 3.0,
+                "tol": 1e-9,
+                "passed": False,
+                "worst_input": {"n": 3},
+            }
+        ]
+
+    def test_nan_residual_fails(self):
+        checks = []
+        _record(checks, "tube_geometry", "probe", [0.1, np.nan, 0.2], 1.0, self.INPUTS)
+        assert checks[0]["passed"] is False
+        assert checks[0]["worst_input"] == {"n": 3}
+
+    def test_passing_check_has_no_worst_input(self):
+        checks = []
+        _record(checks, "tube_geometry", "probe", [0.1, 3.0, 0.2], 5.0, self.INPUTS)
+        assert checks[0]["passed"] is True
+        assert "worst_input" not in checks[0]
+
+    def test_failed_record_exits_2_and_prints_failures(self, capsys, monkeypatch):
+        def failing_suite(config):
+            checks = []
+            _record(checks, "tube_geometry", "probe", [0.1, 3.0, 0.2], 1e-9, self.INPUTS)
+            return checks
+
+        monkeypatch.setitem(verification._SUITE_RUNNERS, "tube", failing_suite)
+        code, out = run_cli(capsys, "verify", "--suite", "tube")
+        assert code == EXIT_VALIDATION
+        assert "FAIL probe" in out
+        assert out.splitlines()[-1] == "FAILURES"
+        code, out = run_cli(capsys, "verify", "--suite", "tube", "--output", "json")
+        assert code == EXIT_VALIDATION
+        payload = strict_json(out)
+        validate("verify", payload)
+        assert (payload["passed"], payload["failed"], payload["ok"]) == (0, 1, False)
+        assert payload["suites"][0]["checks"][0]["worst_input"] == {"n": 3}
+
 
 class TestHorocycle:
     def test_points_are_members(self, capsys):
@@ -409,6 +457,23 @@ class TestDeterminismAndErrors:
         payload = json.loads(out)
         validate("error", payload)
         assert payload["error"]["type"] == "InvalidK"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--example", "lohnherr", "--n", "1"],
+            ["lift", "--example", "lohnherr", "--n", "1"],
+            ["lift", "--example", "lohnherr", "--n", "1", "--radius", "1"],
+            ["horocycle", "--n", "0"],
+        ],
+        ids=["spectrum-lohnherr", "lift-lohnherr", "lift-lohnherr-radius", "horocycle"],
+    )
+    def test_n_below_two_is_invalid_k(self, capsys, argv):
+        code, out = run_cli(capsys, *argv, "--output", "json")
+        assert code == EXIT_VALIDATION
+        payload = strict_json(out)
+        validate("error", payload)
+        assert payload["error"] == {"type": "InvalidK", "message": "need n >= 2"}
 
 
 class TestStrictJson:

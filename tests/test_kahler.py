@@ -379,4 +379,4 @@ class TestStackedKernels:
     @pytest.mark.parametrize("seed", [0, 1, 3, 7, 19, 42, 101, 2024])
     def test_suite_equals_per_trial_oracle(self, seed):
         config = RunConfig(seed=seed)
-        assert _suite_kahler(config).to_dict() == oracle.suite_kahler(config).to_dict()
+        assert _suite_kahler(config) == oracle.suite_kahler(config)
