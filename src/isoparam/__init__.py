@@ -36,7 +36,6 @@ from .errors import (
 )
 from .hopf_lift import (
     LiftedShapeData,
-    ads_inner,
     classify_lift,
     hopf_lift_data,
     lift_shape_operator,
@@ -89,7 +88,6 @@ from .tube_geometry import (
     tube_char_poly,
     tube_char_roots,
     tube_mean_curvature,
-    tube_operator_frame,
     tube_spectrum_at,
 )
 from .verification import SUITES, RunConfig, verify_suites

@@ -1,4 +1,4 @@
-"""The anti-De Sitter model and the algebraic lift correspondence.
+"""The algebraic lift correspondence through the anti-De Sitter model.
 
 CH^n is the base of a semi-Riemannian submersion from the anti-De Sitter
 quadric in C^(n+1) with timelike circle fibers.  A hypersurface downstairs
@@ -42,16 +42,6 @@ from .errors import (
 )
 from .indefinite_linalg import JORDAN_TOL, JordanClassification, classify_jordan
 from .tube_geometry import TubeSpectrum, _tube_block, spectrum_from_values
-
-
-def ads_inner(z, w) -> float:
-    """Re( -z_0 conj(w_0) + sum_k z_k conj(w_k) ) on C^(n+1)."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    w = np.atleast_1d(np.asarray(w, dtype=complex))
-    if z.shape != w.shape:
-        raise DimensionMismatch("vectors have different lengths")
-    prods = z * np.conj(w)
-    return float(np.real(prods[1:].sum() - prods[0]))
 
 
 @dataclass(frozen=True)

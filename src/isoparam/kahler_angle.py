@@ -113,8 +113,14 @@ class RealSubspace:
 
     @staticmethod
     def from_json(text: str) -> "RealSubspace":
+        """ValueError unless text holds an object with an integer (not bool)
+        ambient_cdim and a basis of numbers in one or two dimensions."""
         data = json.loads(text)
-        return RealSubspace(int(data["ambient_cdim"]), np.asarray(data["basis"], dtype=float))
+        cdim = data.get("ambient_cdim") if isinstance(data, dict) else None
+        basis = np.asarray(data.get("basis") if type(cdim) is int else None)
+        if basis.dtype.kind not in "iuf" or basis.ndim not in (1, 2):
+            raise ValueError("a subspace is an object with an integer ambient_cdim and a numeric basis")
+        return RealSubspace(cdim, basis.astype(float))
 
 
 @dataclass(frozen=True)

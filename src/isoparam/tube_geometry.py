@@ -16,8 +16,9 @@ operator A_xi of W_w couples only Z with P w_perp, so the tube operator
 leaves span{Z, P xi, F xi} invariant and is lambda = s0 tanh(s0 r) on the
 rest of the tangent space of W_w and mu = s0 coth(s0 r) on the rest of
 w_perp minus xi, s0 = sqrt(-c)/2: the factorisation
-(lambda - x)^(2n-k-2) (mu - x)^(k-2) f_phi(x) of tube_char_poly.  Only that
-3 x 3 block is evolved (_tube_block).
+(lambda - x)^(2n-k-2) (mu - x)^(k-2) f_phi(x) of tube_char_poly.
+_tube_block evolves only that 3 x 3 block, and numeric_shape_operator the
+whole frame, with no closed form in it, to check the factorisation.
 
 All tube curvatures refer to the inward unit normal (pointing back to the
 core submanifold), which makes them positive.
@@ -25,6 +26,7 @@ core submanifold), which makes them positive.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,8 +46,8 @@ from .solvable_model import (
     ANVector,
     SubmanifoldW,
     _check_normal,
-    _galpha_flat,
     _zp_coupling,
+    shape_operator,
 )
 
 CLUSTER_TOL = 1e-7
@@ -363,24 +365,45 @@ def tube_spectrum_at(spec: TubeSpec, xi: ANVector) -> TubeSpectrum:
     return spectrum_from_values(roots)
 
 
+def _jacobi_operator(X0, X1, u, s0: float, r: float) -> np.ndarray:
+    """Zp Zm^-1, the tube shape operator at t = r of the Jacobi fields that
+    start from the columns of X0 (values) and X1 (derivatives) in a parallel
+    orthonormal frame in which J xi is u.  The curvature is c along u and
+    c/4 elsewhere, so Zm = C1 X0 + S1 X1 + u u^T ((C2 - C1) X0 + (S2 - S1) X1)
+    with C1 = cosh(s0 r), S1 = sinh(s0 r) / s0 (C2, S2 the same at 2 s0), and
+    Zp is its derivative.  FocalRadius unless Zm is invertible and all three
+    matrices are finite.
+    """
+    def evolve(c1, s1, c2, s2):
+        return c1 * X0 + s1 * X1 + np.outer(u, u @ ((c2 - c1) * X0 + (s2 - s1) * X1))
+
+    a, b = s0 * r, 2 * s0 * r
+    with np.errstate(over="ignore", invalid="ignore"):
+        Zm = evolve(np.cosh(a), np.sinh(a) / s0, np.cosh(b), np.sinh(b) / (2 * s0))
+        Zp = evolve(s0 * np.sinh(a), np.cosh(a), 2 * s0 * np.sinh(b), np.cosh(b))
+    if np.isfinite([Zm, Zp]).all():
+        with contextlib.suppress(np.linalg.LinAlgError):  # Zm singular: s0 r is 0
+            S = np.linalg.solve(Zm.T, Zp.T).T
+            if np.isfinite(S).all():
+                return S
+    raise FocalRadius(f"the tube shape operator at r = {r} is not finite")
+
+
 def _tube_block(spec: TubeSpec, xi: ANVector):
     """The tube shape operator on its coupled block V = span{Z, P xi, F xi}.
 
     In the basis of V along Z, P xi and F xi, A_xi Z = s0 P xi makes the
     Jacobi fields start from X0 = diag(1, 1, 0) and
     X1 = [[0, -s0 sP, 0], [-s0 sP, 0, 0], [0, 0, 1]], and J xi is
-    u_V = (0, sP, sN) with sP = |P xi| = sin phi and sN = |F xi| = cos phi.
-    At t = r
-
-        Zm = C1 X0 + S1 X1 + u u^T ((C2 - C1) X0 + (S2 - S1) X1),
-
-    Zp the same with derivatives, and the block is Zp Zm^-1.  For k = 1,
-    F xi = 0 and V = span{Z, P xi}.
+    u_V = (0, sP, sN) with sP = |P xi| = sin phi and sN = |F xi| = cos phi;
+    the block is _jacobi_operator of these.  For k = 1, F xi = 0 and
+    V = span{Z, P xi}.
 
     Returns (lambda, mu, multiplicity of lambda, multiplicity of mu, block,
     u_V), the multiplicities 2n - k - 2 and max(k - 2, 0).  Raises NotNormal
     unless xi is a unit normal and the Z-P coupling read off the frames of
-    W_w (the row of shape_operator) is s0 P xi within 1e-12 (1 + |coupling|).
+    W_w (the row of shape_operator) is s0 P xi within 1e-12 (1 + |coupling|),
+    and FocalRadius when the block, or mu for k > 2, is not finite.
     """
     W, r = spec.Wspec, spec.r
     v = _check_unit_normal(W, xi)
@@ -397,65 +420,40 @@ def _tube_block(spec: TubeSpec, xi: ANVector):
     u = np.array([0.0, sP, np.linalg.norm(W.w_perp_basis @ jxi)])
     if spec.k == 1:
         X0, X1, u = X0[:2, :2], X1[:2, :2], u[:2]
-
-    def evolve(c1, s1, c2, s2):
-        return c1 * X0 + s1 * X1 + np.outer(u, u @ ((c2 - c1) * X0 + (s2 - s1) * X1))
-
-    a, b = s0 * r, 2 * s0 * r
-    Zm = evolve(np.cosh(a), np.sinh(a) / s0, np.cosh(b), np.sinh(b) / (2 * s0))
-    Zp = evolve(s0 * np.sinh(a), np.cosh(a), 2 * s0 * np.sinh(b), np.cosh(b))
-    block = np.linalg.solve(Zm.T, Zp.T).T
-    t = np.tanh(a)
-    return s0 * t, s0 / t, W.tangent_dim - 2, max(spec.k - 2, 0), block, u
+    block = _jacobi_operator(X0, X1, u, s0, r)
+    t = np.tanh(s0 * r)
+    with np.errstate(over="ignore", divide="ignore"):
+        mu = s0 / t  # not finite at a subnormal r
+    if spec.k > 2 and not np.isfinite(mu):
+        raise FocalRadius(f"mu = s0 coth(s0 r) at r = {r} is not finite")
+    return s0 * t, mu, W.tangent_dim - 2, max(spec.k - 2, 0), block, u
 
 
 def numeric_shape_operator(spec: TubeSpec, xi: ANVector) -> np.ndarray:
-    """Shape operator of the tube at gamma_xi(r), assembled from Jacobi fields.
+    """Shape operator of the tube at gamma_xi(r), evolved from Jacobi fields.
 
-    Tangent generators evolve with initial data (X, -A_xi X), normal ones
-    with (0, X); each is split into its J xi component (curvature c) and
-    the rest (curvature c/4) in a parallel frame, and the operator with
-    respect to the inward normal is recovered from the derivative of the
-    evolved frame.  Its eigenvalues match tube_char_roots.
+    The frame, parallel along the radial geodesic, is the tangent frame of
+    W_w followed by one thin SVD of w_perp minus xi.  Tangent generators
+    start from (X, -A_xi X), A_xi = shape_operator(W, xi), and normal ones
+    from (0, X): X0 = [I 0; 0 0] and X1 = [-A_xi 0; 0 I].  The whole frame
+    is evolved and no closed form enters, so the eigenvalues are an
+    independent check of tube_char_roots.
 
-    Returns the (2n-1) x (2n-1) matrix in an orthonormal frame; ValueError
-    unless it is symmetric within 1e-8 of its largest entry.
+    Returns the (2n-1) x (2n-1) matrix; ValueError unless it is symmetric
+    within 1e-8 of its largest entry, FocalRadius unless it is finite.
     """
-    S, _ = tube_operator_frame(spec, xi)
+    W, D = spec.Wspec, 2 * spec.n - 1
+    v = _check_unit_normal(W, xi)
+    A = shape_operator(W, xi)
+    d = len(A)
+    N = W.w_perp_basis
+    _, _, rest = np.linalg.svd(N - np.outer(N @ v, v), full_matrices=False)
+    # J xi lies in g_alpha, so the g_alpha parts of the frame rows expand it
+    u = np.vstack([W._frame_rows()[0][:, 1:-1], rest[: D - d]]) @ apply_J(v)
+    X0 = np.diag((np.arange(D) < d) * 1.0)
+    X1 = np.eye(D) - X0
+    X1[:d, :d] = -A
+    S = _jacobi_operator(X0, X1, u, np.sqrt(-spec.c) / 2, spec.r)
     if not np.abs(S - S.T).max() <= 1e-8 * np.abs(S).max():
         raise ValueError("shape operator is not symmetric")
     return S
-
-
-def tube_operator_frame(spec: TubeSpec, xi: ANVector):
-    """(shape operator matrix, coordinates u of J xi) in a fixed orthonormal
-    frame of the xi-orthocomplement at the base point: the tangent frame of
-    W_w, then w_perp minus xi.
-
-    The frame is parallel along the radial geodesic, so u also expands
-    -J eta at the tube point, eta being the inward normal.  The matrix is
-    lambda on the tangent frame and mu on w_perp minus xi, with the block
-    of _tube_block on the unit vectors along Z, P xi and F xi.  The rows of
-    w_perp minus xi are the last k - 1 rows of the Householder reflection
-    that maps the w_perp coordinates of xi to a multiple of e_1.
-    """
-    lam, mu, _, _, block, u_v = _tube_block(spec, xi)
-    W, d = spec.Wspec, spec.Wspec.tangent_dim
-    v = _galpha_flat(xi)
-    jxi = apply_J(v)
-    x, y = W.w_perp_basis @ v, W.w_perp_basis @ jxi
-    h = x.copy()
-    h[0] += np.copysign(np.linalg.norm(x), x[0])
-    u_n = y[1:] - (2.0 / (h @ h)) * (h @ y) * h[1:]  # rows 1.. of the reflection
-    p = len(W.p_perp_basis)
-    u = np.concatenate([np.zeros(d - p), W.p_perp_basis @ jxi, u_n])
-
-    # the unit vectors along Z, P xi and F xi; where P xi or F xi is zero
-    # the block is lambda or mu there already, and its column stays zero
-    E = np.zeros((len(u), len(u_v)))
-    E[1, 0] = 1.0
-    for col, part in enumerate([slice(d - p, d), slice(d, None)][: len(u_v) - 1], 1):
-        E[part, col] = u[part] / (np.linalg.norm(u[part]) or 1.0)
-    S = np.diag(np.where(np.arange(len(u)) < d, lam, mu))
-    S += E @ (block - np.diag([lam, lam, mu][: len(u_v)])) @ E.T
-    return S, u

@@ -351,6 +351,42 @@ class TestDeterminismAndErrors:
         assert code == EXIT_NOINPUT
         validate("error", json.loads(out))
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[[1, 0, 0, 0]]",
+            '"text"',
+            '{"ambient_cdim": null, "basis": [[1, 0, 0, 0]]}',
+            '{"ambient_cdim": 2, "basis": [{"a": 1}]}',
+            '{"ambient_cdim": 2.7, "basis": [[1, 0, 0, 0]]}',
+            '{"ambient_cdim": true, "basis": [[1, 0]]}',
+        ],
+        ids=["list", "string", "null-cdim", "object-row", "float-cdim", "bool-cdim"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [["spectrum", "--radius", "1"], ["classify", "--radius", "1"], ["horocycle"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_malformed_subspace_file(self, capsys, tmp_path, argv, text):
+        path = tmp_path / "w.json"
+        path.write_text(text)
+        code, out = run_cli(capsys, *argv, "--subspace", str(path), "--n", "3")
+        assert code == EXIT_VALIDATION
+        payload = strict_json(out)
+        validate("error", payload)
+        assert payload["error"]["type"] == "ValueError"
+
+    def test_subnormal_lohnherr_radius_answers(self, capsys):
+        # mu = s0 coth(s0 r) overflows at r = 1e-310, but for k = 1 it has
+        # multiplicity 0
+        argv = ["lift", "--example", "lohnherr", "--n", "3", "--radius", "1e-310"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(capsys, *argv, "--output", "json")
+        assert code == EXIT_OK
+        validate("lift", strict_json(out))
+
     @pytest.mark.parametrize("radius", ["0", "-1", "inf"])
     def test_focal_or_negative_radius(self, capsys, line_in_c2, radius):
         code, out = run_cli(

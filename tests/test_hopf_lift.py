@@ -1,14 +1,13 @@
-"""Tests for the anti-De Sitter inner product and the lift correspondence."""
+"""Tests for the lift correspondence: lifted shape operators, their Jordan
+types and the projection back to downstairs spectra."""
 
 import numpy as np
 import pytest
 
 from isoparam import (
     ConstraintViolation,
-    DimensionMismatch,
     LiftedShapeData,
     TubeSpec,
-    ads_inner,
     build_w,
     classify_jordan,
     classify_lift,
@@ -23,23 +22,6 @@ from isoparam import (
 from isoparam.solvable_model import ANVector
 
 C = -4.0
-
-
-class TestAdsInner:
-    def test_axis_point(self):
-        r = 1.7
-        z = np.zeros(4, dtype=complex)
-        z[0] = r
-        assert abs(ads_inner(z, z) + r**2) < 1e-14
-
-    def test_rotation_orthogonality(self):
-        rng = np.random.default_rng(1)
-        z = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        assert abs(ads_inner(z, 1j * z)) < 1e-14
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            ads_inner(np.ones(3), np.ones(4))
 
 
 class TestLiftMatrix:

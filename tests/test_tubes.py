@@ -33,7 +33,7 @@ from isoparam import (
 )
 from isoparam import tube_geometry as tg
 from isoparam.indefinite_linalg import cluster
-from isoparam.tube_geometry import angle_factor_cubic, tube_operator_frame
+from isoparam.tube_geometry import angle_factor_cubic
 
 C = -4.0
 
@@ -397,8 +397,8 @@ def eigen_weights(S, u):
 
 
 class TestTubeOperatorOracle:
-    # the block assembly on the frames of build_w against the per-column
-    # assembly on the frames of the row-by-row build_w
+    # the full-frame evolution on the frames of build_w against the
+    # per-column assembly on the frames of the row-by-row build_w
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 10, 30])
     def test_matches_per_column_assembly(self, n):
         rng = np.random.default_rng(n)
@@ -408,13 +408,25 @@ class TestTubeOperatorOracle:
                 w = random_subspace(m, 2 * m - k, int(rng.integers(2**31)))
                 W = build_w(w, n, C)
                 xi = normal_vector(W, rng.standard_normal(k))
-                got, got_w = eigen_weights(*tube_operator_frame(TubeSpec(W, r), xi))
-                want, want_w = eigen_weights(
-                    *oracle.tube_operator_frame(oracle.build_w(w, n, C), r, xi)
-                )
+                S = numeric_shape_operator(TubeSpec(W, r), xi)
+                got = np.linalg.eigvalsh(0.5 * (S + S.T))
+                S, _ = oracle.tube_operator_frame(oracle.build_w(w, n, C), r, xi)
+                want = np.linalg.eigvalsh(0.5 * (S + S.T))
+                assert len(got) == 2 * n - 1
                 assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
-                assert [d for d, _ in got_w] == [d for d, _ in want_w]
-                assert np.allclose([x for _, x in got_w], [x for _, x in want_w], rtol=0, atol=1e-12)
+
+    def test_does_not_use_the_block(self, monkeypatch):
+        # the full-frame evolution is an independent check of _tube_block
+        def refuse(*args):
+            raise AssertionError("numeric_shape_operator called _tube_block")
+
+        monkeypatch.setattr(tg, "_tube_block", refuse)
+        n, k, r = 4, 3, 0.8
+        W = build_w(random_subspace(n - 1, 2 * (n - 1) - k, seed=12), n, C)
+        xi = normal_vector(W, [1.0, -0.4, 0.7])
+        S = numeric_shape_operator(TubeSpec(W, r), xi)
+        roots = tube_char_roots(n, k, r, normal_kahler_angle(W, xi), C)
+        assert np.abs(np.linalg.eigvalsh(0.5 * (S + S.T)) - roots).max() < 1e-8
 
 
 def oracle_lift_weights(w, n, r, xi):
@@ -490,6 +502,23 @@ class TestTubeBlock:
         assert abs(lam - np.tanh(0.9)) <= 1e-15 and abs(mu - 1 / np.tanh(0.9)) <= 1e-15
         assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
 
+    def test_subnormal_radius(self):
+        # s0 / tanh(s0 r) overflows at r = 1e-310: mu (k = 3) and the F xi
+        # column of the block are not finite
+        n = 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            W = build_w(random_subspace(n - 1, 2 * (n - 1) - 3, seed=3), n, C)
+            xi = normal_vector(W, [1.0, 2.0, 3.0])
+            for call in (tube_lift_data, numeric_shape_operator):
+                with pytest.raises(FocalRadius, match="not finite"):
+                    call(TubeSpec(W, 1e-310), xi)
+            # for k = 1, mu has multiplicity 0 and the tube tends to W_w
+            # itself, the minimal ruled hypersurface
+            W = build_w(random_subspace(n - 1, 2 * (n - 1) - 1, seed=3), n, C)
+            data = tube_lift_data(TubeSpec(W, 1e-310), normal_vector(W, [1.0]))
+        assert data.spectrum_down.matches(lohnherr_spectrum(n, C), tol=1e-12)
+
     def test_inconsistent_frames_trip_the_coupling_guard(self):
         W = build_w(random_subspace(3, 3, seed=11), 4, C)
         xi = normal_vector(W, [1.0, 0.5, -0.3])
@@ -497,6 +526,5 @@ class TestTubeBlock:
         # w_perp rows 1e-10 too long: still normal within NORMAL_TOL, but
         # the coupling read off the frames is no longer s0 P J xi
         bad = dataclasses.replace(W, w_perp_basis=(1 + 1e-10) * W.w_perp_basis)
-        for call in (tube_lift_data, tube_operator_frame):
-            with pytest.raises(NotNormal, match="coupling"):
-                call(TubeSpec(bad, 1.0), xi)
+        with pytest.raises(NotNormal, match="coupling"):
+            tube_lift_data(TubeSpec(bad, 1.0), xi)

@@ -1,13 +1,14 @@
 """Per-row frame code of W_w and the per-column tube assembly, kept as oracles.
 
 `isoparam.solvable_model.build_w` splits w with one SVD in w's own
-coordinates, and `isoparam.tube_geometry._tube_block` evolves the tube
-operator only on its coupled block span{Z, P xi, F xi}.  The functions here
-are the earlier versions: P w_perp from the projections of J w_perp row by
-row, c_part as the complement of w_perp + J w_perp in g_alpha, and the
-Jacobi fields of all 2n - 1 generators evolved one column at a time.  The frames differ from the
-library's by a rotation inside each subspace, so tests compare invariants:
-spans, spectra and the weight of J xi on each eigenspace.
+coordinates, and `isoparam.tube_geometry` evolves the tube operator with one
+matrix solve, on the whole frame (`numeric_shape_operator`) or only on the
+coupled block span{Z, P xi, F xi} (`_tube_block`).  The functions here are
+the earlier versions: P w_perp from the projections of J w_perp row by row,
+c_part as the complement of w_perp + J w_perp in g_alpha, and the Jacobi
+fields of all 2n - 1 generators evolved one column at a time.  The frames
+differ from the library's by a rotation inside each subspace, so tests
+compare invariants: spans, spectra and the weight of J xi on each eigenspace.
 """
 
 import numpy as np
