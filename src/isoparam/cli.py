@@ -319,9 +319,10 @@ def _render_table(command: str, record: dict) -> str:
             lines.append(f"suite {suite['suite']}: {suite['passed']} passed, {suite['failed']} failed")
             for ch in suite["checks"]:
                 flag = "PASS" if ch["passed"] else "FAIL"
+                res = "non-finite" if ch["max_residual"] is None else f"{ch['max_residual']:.3e}"
                 lines.append(
                     f"  {flag} {ch['name']:40s} samples={ch['samples']:5d}"
-                    f" max_residual={ch['max_residual']:.3e} tol={ch['tol']:.1e}"
+                    f" max_residual={res} tol={ch['tol']:.1e}"
                 )
         lines.append("ok" if record["ok"] else "FAILURES")
     elif command == "moduli":
@@ -372,7 +373,7 @@ def _render_csv(command: str, record: dict) -> str:
                             suite["suite"],
                             ch["name"],
                             str(ch["samples"]),
-                            _fmt(ch["max_residual"]),
+                            "" if ch["max_residual"] is None else _fmt(ch["max_residual"]),
                             _fmt(ch["tol"]),
                             str(int(ch["passed"])),
                         ]

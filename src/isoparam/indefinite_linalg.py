@@ -161,7 +161,7 @@ def classify_jordan(A, gram) -> JordanClassification:
     jordan_tol = JORDAN_TOL * scale
     rank_threshold = RANK_TOL * scale
 
-    w = np.linalg.eig(A)[0]
+    eig = np.linalg.eig(A)
 
     ladder = [MERGE_TOL * scale]
     while ladder[-1] < jordan_tol:
@@ -173,10 +173,10 @@ def classify_jordan(A, gram) -> JordanClassification:
     # kernels until the cyclic garbage collector runs
     for merge_tol in ladder[:-1]:
         try:
-            return _classify_pass(A, G, w, merge_tol, rank_threshold, kernels)
+            return _classify_pass(A, G, eig, merge_tol, rank_threshold, kernels)
         except NondiagnosableOperator:
             pass
-    return _classify_pass(A, G, w, ladder[-1], rank_threshold, kernels)
+    return _classify_pass(A, G, eig, ladder[-1], rank_threshold, kernels)
 
 
 def cluster(values, tol) -> list:
@@ -227,15 +227,6 @@ def _kernel(A: np.ndarray, value: float, threshold: float) -> np.ndarray:
     return vt[n - int((s <= threshold).sum()):].T
 
 
-def _eigenspace(A: np.ndarray, value: float, count: int, power: int) -> np.ndarray:
-    """Orthonormal columns spanning the count-dim most-null right subspace
-    of (A - value I)^power."""
-    n = A.shape[0]
-    M = np.linalg.matrix_power(A - value * np.eye(n), power)
-    _, _, vt = np.linalg.svd(M)
-    return vt[n - count:].T
-
-
 def _form_orthonormalize(G: np.ndarray, basis: np.ndarray):
     """Orthonormalize columns against an (in)definite form.
 
@@ -254,26 +245,14 @@ def _form_orthonormalize(G: np.ndarray, basis: np.ndarray):
     return cols[:, order], signs[order]
 
 
-def _kernel_complement(K, G, chain_null, chain_unit):
-    """Directions of the kernel K (columns) G-orthogonal to a semi-null chain.
-
-    chain_null is the null kernel vector of the chain (b2 or e1), chain_unit
-    its semi-null partner (b1 or e2, with <chain_null, chain_unit> = 1).
-    Returns K.shape[1] - 1 spacelike columns.
-    """
-    pair = float(chain_null @ G @ chain_unit)
-    K = K - np.outer(chain_null, (chain_unit @ G @ K) / pair)
-    q, _, _ = np.linalg.svd(K, full_matrices=False)
-    return q[:, : K.shape[1] - 1]
-
-
-def _classify_pass(A, G, w, merge_tol, rank_threshold, kernels):
-    """One rung of the ladder on the checked arrays A and G, with w the
-    eigenvalues of A.  kernels maps each cluster center already factored in
-    this classify_jordan call to its kernel; new ones are added."""
+def _classify_pass(A, G, eig, merge_tol, rank_threshold, kernels):
+    """One rung of the ladder on the checked arrays A and G, with eig the
+    (eigenvalues, eigenvectors) pair of np.linalg.eig(A).  kernels maps each
+    cluster center already factored in this classify_jordan call to its
+    kernel; new ones are added."""
     n = A.shape[0]
 
-    complex_pair, real_clusters = _split_spectrum(w, merge_tol)
+    complex_pair, real_clusters = _split_spectrum(eig[0], merge_tol)
 
     eigs: list[tuple[float, int, int]] = []
     defects: list[tuple[float, int, int]] = []
@@ -306,7 +285,7 @@ def _classify_pass(A, G, w, merge_tol, rank_threshold, kernels):
     if total != n:
         raise NondiagnosableOperator(f"multiplicities sum to {total}, expected {n}")
 
-    basis, epsilon, diag = _adapted_basis(A, G, n, jtype, eigs, complex_pair, kernels)
+    basis, epsilon, diag = _adapted_basis(A, G, n, eig, jtype, eigs, complex_pair, kernels)
 
     cls = JordanClassification(
         jtype=jtype,
@@ -328,18 +307,14 @@ def _classify_pass(A, G, w, merge_tol, rank_threshold, kernels):
     return cls
 
 
-def _adapted_basis(A, G, n, jtype, eigs, complex_pair, kernels):
-    cols: list[np.ndarray] = []
-    diag: list[float] = []
-    epsilon = None
-    defective = [(v, a, g) for v, a, g in eigs if a != g]
+def _adapted_basis(A, G, n, eig, jtype, eigs, complex_pair, kernels):
+    cols, diag, epsilon = [], [], None
     clean = [(v, a, g) for v, a, g in eigs if a == g]
 
     if jtype == "IV":
         a, b = complex_pair
-        wv, vecs = np.linalg.eig(A)
-        idx = int(np.argmin(np.abs(wv - (a + 1j * b))))
-        z = vecs[:, idx]
+        w, vecs = eig
+        z = vecs[:, int(np.argmin(np.abs(w - (a + 1j * b))))]
         x, y = z.real.copy(), z.imag.copy()
         # rotate z -> e^{i theta} z to make <x, y> = 0 with <x, x> > 0;
         # self-adjointness forces <y, y> = -<x, x>
@@ -354,57 +329,10 @@ def _adapted_basis(A, G, n, jtype, eigs, complex_pair, kernels):
         norm = np.sqrt(sq)
         cols.extend([yr / norm, xr / norm])
 
-    elif jtype == "II":
-        lam, alg, geo = defective[0]
-        V = _eigenspace(A, lam, alg, 2)
-        N = V.T @ (A - lam * np.eye(n)) @ V  # 2-step nilpotent, rank 1
-        w_small = np.linalg.svd(N)[2][0]
-        wv = V @ w_small
-        z = (A - lam * np.eye(n)) @ wv
-        s_val = float(z @ G @ wv)
-        if abs(s_val) < 1e-12 * (1 + np.abs(A).max()):
-            raise NondiagnosableOperator("degenerate semi-null pairing in type II block")
-        epsilon = 1 if s_val > 0 else -1
-        wv = wv - (float(wv @ G @ wv) / (2 * s_val)) * z  # null out <w, w>
-        beta = np.sqrt(abs(s_val))
-        b1 = wv / beta
-        b2 = z / (epsilon * beta)
-        cols.extend([b1, b2])
-        if geo > 1:
-            K = _kernel_complement(kernels[lam], G, b2, b1)
-            Kcols, signs = _form_orthonormalize(G, K)
-            if (signs < 0).any():
-                raise NondiagnosableOperator("type II kernel complement is not spacelike")
-            cols.extend(Kcols.T)
-            diag.extend([lam] * (geo - 1))
-
-    elif jtype == "III":
-        lam, alg, geo = defective[0]
-        V = _eigenspace(A, lam, alg, 3)
-        N = V.T @ (A - lam * np.eye(n)) @ V  # 3-step nilpotent, N^2 rank 1
-        w_small = np.linalg.svd(N @ N)[2][0]
-        Nfull = A - lam * np.eye(n)
-        e2 = V @ w_small
-        e3 = Nfull @ e2
-        e1 = Nfull @ e3
-        t = float(e1 @ G @ e2)
-        if t <= 1e-12 * (1 + np.abs(A).max()) ** 2:
-            raise NondiagnosableOperator("type III chain has nonpositive pairing")
-        e1, e2, e3 = e1 / np.sqrt(t), e2 / np.sqrt(t), e3 / np.sqrt(t)
-        # shift e2 along e1 and e3 to null out <e2, e3> and <e2, e2>
-        b_adj = -0.5 * float(e2 @ G @ e3)
-        a_adj = -0.5 * (float(e2 @ G @ e2) + 2 * b_adj * float(e2 @ G @ e3) + b_adj**2)
-        e2 = e2 + a_adj * e1 + b_adj * e3
-        e3 = Nfull @ e2
-        e1 = Nfull @ e3
-        cols.extend([e1, e2, e3])
-        if geo > 1:
-            K = _kernel_complement(kernels[lam], G, e1, e2)
-            Kcols, signs = _form_orthonormalize(G, K)
-            if (signs < 0).any():
-                raise NondiagnosableOperator("type III kernel complement is not spacelike")
-            cols.extend(Kcols.T)
-            diag.extend([lam] * (geo - 1))
+    elif jtype in ("II", "III"):
+        (lam, alg, geo), = [(v, a, g) for v, a, g in eigs if a != g]
+        cols, epsilon = _jordan_chain(A, G, jtype, lam, alg, geo, kernels[lam])
+        diag.extend([lam] * (geo - 1))
 
     # diagonalizable eigenvalues; in type I the Lorentzian block leads
     timelike_used = jtype != "I"
@@ -420,10 +348,8 @@ def _adapted_basis(A, G, n, jtype, eigs, complex_pair, kernels):
     if not timelike_used:
         raise NondiagnosableOperator("no timelike eigendirection found for type I")
 
-    if jtype == "I":
-        blocks.sort(key=lambda blk: (0 if blk[2] else 1, blk[0]))
-    else:
-        blocks.sort(key=lambda blk: blk[0])
+    # the timelike block first: only type I can hold one
+    blocks.sort(key=lambda blk: (not blk[2], blk[0]))
     for value, Vcols, _ in blocks:
         cols.extend(Vcols.T)
         diag.extend([value] * Vcols.shape[1])
@@ -432,3 +358,52 @@ def _adapted_basis(A, G, n, jtype, eigs, complex_pair, kernels):
     if basis.shape != (n, n):
         raise NondiagnosableOperator("adapted basis has wrong dimension")
     return basis, epsilon, diag
+
+
+def _jordan_chain(A, G, jtype, lam, alg, geo, kernel):
+    """Columns of the type II or III block at the defective eigenvalue lam,
+    then the geo - 1 spacelike directions of its kernel off the chain;
+    returns (columns, epsilon).  With N = A - lam I the chain has length
+    p = alg - geo + 1: its top is the least-null direction of (V^T N V)^(p-1),
+    V the alg most-null right singular vectors of N^p, and N maps it down."""
+    n = A.shape[0]
+    N = A - lam * np.eye(n)
+    p = alg - geo + 1
+    V = np.linalg.svd(np.linalg.matrix_power(N, p))[2][n - alg:].T
+    chain = [V @ np.linalg.svd(np.linalg.matrix_power(V.T @ N @ V, p - 1))[2][0]]
+    for _ in range(p - 1):
+        chain.append(N @ chain[-1])
+    epsilon = None
+    if jtype == "II":
+        wv, z = chain
+        s_val = float(z @ G @ wv)
+        if abs(s_val) < 1e-12 * (1 + np.abs(A).max()):
+            raise NondiagnosableOperator("degenerate semi-null pairing in type II block")
+        epsilon = 1 if s_val > 0 else -1
+        wv = wv - (float(wv @ G @ wv) / (2 * s_val)) * z  # null out <w, w>
+        beta = np.sqrt(abs(s_val))
+        cols = [wv / beta, z / (epsilon * beta)]
+        unit, null = cols
+    else:
+        e2, e3, e1 = chain
+        t = float(e1 @ G @ e2)
+        if t <= 1e-12 * (1 + np.abs(A).max()) ** 2:
+            raise NondiagnosableOperator("type III chain has nonpositive pairing")
+        e1, e2, e3 = e1 / np.sqrt(t), e2 / np.sqrt(t), e3 / np.sqrt(t)
+        # shift e2 along e1 and e3 to null out <e2, e3> and <e2, e2>
+        b_adj = -0.5 * float(e2 @ G @ e3)
+        a_adj = -0.5 * (float(e2 @ G @ e2) + 2 * b_adj * float(e2 @ G @ e3) + b_adj**2)
+        e2 = e2 + a_adj * e1 + b_adj * e3
+        e3 = N @ e2
+        e1 = N @ e3
+        cols = [e1, e2, e3]
+        null, unit = e1, e2
+    if geo > 1:
+        # the kernel directions G-orthogonal to the chain (<null, unit> = 1)
+        K = kernel - np.outer(null, (unit @ G @ kernel) / float(null @ G @ unit))
+        q, _, _ = np.linalg.svd(K, full_matrices=False)
+        Kcols, signs = _form_orthonormalize(G, q[:, : geo - 1])
+        if (signs < 0).any():
+            raise NondiagnosableOperator(f"type {jtype} kernel complement is not spacelike")
+        cols.extend(Kcols.T)
+    return cols, epsilon

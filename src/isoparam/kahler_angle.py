@@ -80,6 +80,8 @@ class RealSubspace:
         basis = np.asarray(self.basis, dtype=float)
         if basis.ndim == 1:
             basis = basis.reshape(1, -1)
+        if basis.ndim != 2:
+            raise DimensionMismatch(f"basis must be a vector or a matrix of rows, got {basis.shape}")
         if basis.size == 0:
             basis = basis.reshape(0, 2 * self.ambient_cdim)
         if basis.shape[1] != 2 * self.ambient_cdim:

@@ -211,7 +211,9 @@ def angle_factor_cubic(lam: float, phi: float, c: float) -> np.ndarray:
 
 def _char_factors(n: int, k: int, r: float, phi: float, c: float):
     """Factors of the tube characteristic polynomial, inputs validated:
-    (lam, mu, the angle factor, power of (lam - x), power of (mu - x))."""
+    (lam, mu, the angle factor, power of (lam - x), power of (mu - x)).
+    Computed in float64; raises FocalRadius when the factor, or mu for
+    k > 2, is not finite (lam underflows to 0 or an entry overflows)."""
     if n < 2 or not 1 <= k <= 2 * n - 3:
         raise InvalidCodimension(f"need n >= 2 and 1 <= k <= 2n-3, got n={n}, k={k}")
     check_radius(r)
@@ -219,12 +221,18 @@ def _char_factors(n: int, k: int, r: float, phi: float, c: float):
     if not 0 <= phi <= np.pi / 2 + 1e-12:
         raise ValueError("phi must lie in [0, pi/2]")
     s0 = np.sqrt(-c) / 2
-    lam = float(s0 * np.tanh(s0 * r))
-    mu = -c / (4 * lam)
+    lam, c = s0 * np.tanh(s0 * r), np.float64(c)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        mu = -c / (4 * lam)
+        if k == 1:
+            factor = np.polydiv(angle_factor_cubic(lam, np.pi / 2, c), np.array([-1.0, mu]))[0]
+        else:
+            factor = angle_factor_cubic(lam, phi, c)
+    if not np.isfinite(factor).all() or (k > 2 and not np.isfinite(mu)):
+        raise FocalRadius(f"the tube characteristic polynomial at r = {r}, c = {c} is not finite")
     if k == 1:
-        quad, _ = np.polydiv(angle_factor_cubic(lam, np.pi / 2, c), np.array([-1.0, mu]))
-        return lam, mu, quad, 2 * n - 3, 0
-    return lam, mu, angle_factor_cubic(lam, phi, c), 2 * n - k - 2, k - 2
+        return float(lam), float(mu), factor, 2 * n - 3, 0
+    return float(lam), float(mu), factor, 2 * n - k - 2, k - 2
 
 
 def tube_char_poly(n: int, k: int, r: float, phi: float, c: float) -> np.ndarray:

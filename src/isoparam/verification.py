@@ -38,14 +38,15 @@ def _rng(config: RunConfig, suite: str, index: int) -> np.random.Generator:
 
 
 def _record(checks, module, name, residuals, tol, inputs=None):
-    """Append one check record; a failed one names the input of its worst residual."""
+    """Append one check record; a failed one names the input of its worst
+    residual.  A worst residual that is inf or NaN fails and is recorded as None."""
     residuals = np.atleast_1d(np.asarray(residuals, dtype=float))
     max_res = float(residuals.max()) if residuals.size else 0.0
     check = {
         "module": module,
         "name": name,
         "samples": int(residuals.size),
-        "max_residual": max_res,
+        "max_residual": max_res if np.isfinite(max_res) else None,  # strict JSON
         "tol": tol,
         "passed": bool(max_res <= tol),
     }
@@ -188,7 +189,7 @@ def _random_isometry(rng, gram: np.ndarray, scale: float = 0.3) -> np.ndarray:
     S = rng.standard_normal(gram.shape) * scale
     S = S - S.T
     K = np.linalg.solve(gram, S)
-    # matrix exponential by scaling and squaring on the series
+    # matrix exponential as its plain power series, 17 terms past the identity
     T = np.eye(gram.shape[0])
     term = np.eye(gram.shape[0])
     for i in range(1, 18):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from isoparam import random_subspace, verification
-from isoparam.cli import EXIT_NOINPUT, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, run
+from isoparam.cli import EXAMPLES, EXIT_NOINPUT, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, run
 from isoparam.verification import _record
 from test_readme_cli import strict_json
 
@@ -264,6 +264,40 @@ class TestVerify:
         validate("verify", payload)
         assert (payload["passed"], payload["failed"], payload["ok"]) == (0, 1, False)
         assert payload["suites"][0]["checks"][0]["worst_input"] == {"n": 3}
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_residual_is_null(self, bad):
+        checks = []
+        _record(checks, "tube_geometry", "probe", [0.1, bad, 0.2], 1.0, self.INPUTS)
+        assert checks[0]["max_residual"] is None
+        assert checks[0]["passed"] is False
+        assert checks[0]["worst_input"] == {"n": 3}
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_residual_prints_strict_json(self, capsys, monkeypatch, bad):
+        def failing_suite(config):
+            checks = []
+            _record(checks, "tube_geometry", "probe", [0.1, bad], 1e-9, self.INPUTS)
+            _record(checks, "tube_geometry", "fine", [0.1, 0.2], 1.0)
+            return checks
+
+        monkeypatch.setitem(verification._SUITE_RUNNERS, "tube", failing_suite)
+        code, out = run_cli(capsys, "verify", "--suite", "tube", "--output", "json")
+        assert code == EXIT_VALIDATION
+        payload = strict_json(out)
+        validate("verify", payload)
+        probe, fine = payload["suites"][0]["checks"]
+        assert (probe["max_residual"], probe["passed"]) == (None, False)
+        assert (fine["max_residual"], fine["passed"]) == (0.2, True)
+        code, out = run_cli(capsys, "verify", "--suite", "tube")
+        assert code == EXIT_VALIDATION
+        assert "FAIL probe" in out and "max_residual=non-finite" in out
+        code, out = run_cli(capsys, "verify", "--suite", "tube", "--output", "csv")
+        assert code == EXIT_VALIDATION
+        assert out.splitlines()[1:] == [
+            "tube,probe,2,,1.0000000000000001e-09,0",
+            "tube,fine,2,0.20000000000000001,1,1",
+        ]
 
 
 class TestHorocycle:
@@ -533,6 +567,28 @@ class TestStrictJson:
         assert code == EXIT_VALIDATION
         validate("error", strict_json(out))
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--example", "lohnherr", "--n", "3", "--radius", "1e-310"],
+            ["spectrum", "--n", "3", "--radius", "1e-310"],
+            ["spectrum", "--curvature=-1e300", "--n", "3", "--radius", "0.5"],
+            ["spectrum", "--curvature=-1e-300", "--n", "3", "--radius", "1e-300"],
+        ],
+        ids=["lohnherr-subnormal-r", "subspace-subnormal-r", "c-squared-overflows",
+             "lam-underflows"],
+    )
+    def test_non_finite_char_factors_refused(self, capsys, line_in_c2, argv):
+        if "--example" not in argv:
+            argv = argv + ["--subspace", line_in_c2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(capsys, *argv, "--output", "json")
+        assert code == EXIT_VALIDATION
+        payload = strict_json(out)
+        validate("error", payload)
+        assert payload["error"]["type"] == "FocalRadius"
+
     def test_huge_curvatures_fail_without_overflow(self, capsys):
         # curvatures near 1e300 are finite; the reconstruction guard of
         # classify_jordan must compare them without overflowing
@@ -544,3 +600,53 @@ class TestStrictJson:
         payload = strict_json(out)
         validate("error", payload)
         assert payload["error"]["type"] == "ConstraintViolation"
+
+
+class TestCliProperty:
+    """spectrum, classify and lift over n and radii from 1e-320 to 50."""
+
+    COMMANDS = (
+        [("spectrum", "--example", ex) for ex in EXAMPLES]
+        + [("spectrum", "--subspace"), ("classify", "--subspace")]
+        + [("lift", "--example", ex) for ex in EXAMPLES]
+    )
+
+    def test_exit_code_and_strict_schema_valid_record(self, capsys, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        files = {}
+
+        def subspace_file(n, dim):
+            # a w of dimension dim in C^(n-1); k = 2(n-1) - dim lies in [1, 2n-3]
+            if (n, dim) not in files:
+                files[n, dim] = tmp_path / f"w_{n}_{dim}.json"
+                files[n, dim].write_text(random_subspace(n - 1, dim, seed=n + dim).to_json())
+            return str(files[n, dim])
+
+        @hypothesis.settings(derandomize=True, deadline=None, max_examples=120, database=None)
+        @hypothesis.given(
+            command=st.sampled_from(self.COMMANDS),
+            n=st.integers(2, 6),
+            r=st.floats(np.log(1e-320), np.log(50.0)).map(lambda log_r: float(np.exp(log_r))),
+            pick=st.floats(0.0, 1.0, exclude_max=True),
+        )
+        @hypothesis.example(command=("spectrum", "--example", "lohnherr"), n=3, r=1e-310, pick=0.0)
+        @hypothesis.example(command=("spectrum", "--subspace"), n=3, r=1e-310, pick=0.0)
+        @hypothesis.example(command=("classify", "--subspace"), n=3, r=1e-310, pick=0.0)
+        @hypothesis.example(command=("lift", "--example", "lohnherr"), n=3, r=1e-310, pick=0.0)
+        def check(command, n, r, pick):
+            argv = [command[0], "--n", str(n), "--radius", repr(r), "--output", "json"]
+            if command[1] == "--subspace":
+                argv += ["--subspace", subspace_file(n, 1 + int(pick * (2 * n - 3)))]
+            else:
+                argv += ["--example", command[2]]
+                if command[2] == "tube-chk":
+                    argv += ["--k", str(int(pick * n))]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code, out = run_cli(capsys, *argv)
+            assert code in (EXIT_OK, EXIT_VALIDATION), argv
+            assert out.count("\n") == 1, argv
+            validate(command[0] if code == EXIT_OK else "error", strict_json(out))
+
+        check()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from isoparam import DimensionMismatch, NondiagnosableOperator, classify_jordan
-from isoparam.indefinite_linalg import MERGE_TOL, _classify_pass, cluster
+from isoparam.indefinite_linalg import JordanClassification, MERGE_TOL, _classify_pass, cluster
 
 
 def minkowski(dim):
@@ -232,9 +232,98 @@ class TestClassificationInvariants:
     def test_nondiagnosable_on_absurd_tolerance(self):
         # a rank threshold of 10 (1 + max|A|) puts all of R^3 in every kernel
         A = np.diag([1.0, 2.0, 3.0])
-        w, scale = np.linalg.eigvals(A), 1.0 + 3.0
-        with pytest.raises(NondiagnosableOperator):
-            _classify_pass(A, minkowski(3), w, MERGE_TOL * scale, 10.0 * scale, {})
+        eig, scale = np.linalg.eig(A), 1.0 + 3.0
+        with pytest.raises(NondiagnosableOperator, match="inconsistent multiplicities"):
+            _classify_pass(A, minkowski(3), eig, MERGE_TOL * scale, 10.0 * scale, {})
+
+    def test_one_eig_per_call(self, monkeypatch):
+        # the type IV block takes its eigenvector from the eig of the ladder
+        eig, calls = np.linalg.eig, []
+
+        def counting_eig(a):
+            calls.append(a.shape)
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counting_eig)
+        A = np.array([[0.3, -0.7, 0.0], [0.7, 0.3, 0.0], [0.0, 0.0, 2.0]])
+        cls = classify_jordan(A, minkowski(3))
+        assert cls.jtype == "IV"
+        assert calls == [(3, 3)]
+
+
+def planted_operator(rng, jtype, lam, extra, clean, epsilon=None, orthogonal=False):
+    """(A, gram, shape): the canonical type II or III shape at lam, with
+    `extra` more kernel directions at lam and the clean eigenvalues, carried
+    by a seeded basis B as A = B C B^-1 and gram = B^-T Gc B^-1.  B is a
+    rotation (B^-1 = B^T), or the product Q1 D Q2 with D in [0.7, 1.4]
+    (condition at most 2)."""
+    size = {"II": 2, "III": 3}[jtype]
+    dim = size + extra + len(clean)
+    real = [(lam, size + extra, 1 + extra)] + [(v, 1, 1) for v in clean]
+    diag = tuple([lam] * extra + list(clean))
+    shape = JordanClassification(jtype, tuple(sorted(real)), None, epsilon, np.eye(dim), diag, dim)
+    B = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    if orthogonal:
+        B_inv = B.T
+    else:
+        B = B @ np.diag(rng.uniform(0.7, 1.4, dim)) @ np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        B_inv = np.linalg.inv(B)
+    gram = B_inv.T @ shape.canonical_gram() @ B_inv
+    return B @ shape.canonical_matrix() @ B_inv, 0.5 * (gram + gram.T), shape
+
+
+SINGLE_BLOCK = (
+    "a lone 3x3 Jordan block splits its eigenvalue into a conjugate pair of imaginary part "
+    "~4e-6, and the first rung accepts the type IV basis within its 1e-5 guard"
+)
+
+
+class TestPlantedShapes:
+    """Canonical type II and III shapes carried by a seeded basis: the Jordan
+    chain and the kernel complement on input that is not an arrowhead."""
+
+    @staticmethod
+    def check(A, gram, shape):
+        cls = classify_jordan(A, gram)
+        assert cls.jtype == shape.jtype
+        assert cls.epsilon == shape.epsilon
+        assert [(a, g) for _, a, g in cls.real_eigs] == [(a, g) for _, a, g in shape.real_eigs]
+        for (v, _, _), (want, _, _) in zip(cls.real_eigs, shape.real_eigs):
+            assert abs(v - want) < 1e-6
+        assert max(cls.residuals(A, gram)) < 1e-8
+
+    @staticmethod
+    def clean_values(rng, lam, count):
+        return [lam - rng.uniform(0.5, 2.0), lam + rng.uniform(0.5, 2.0)][:count]
+
+    @pytest.mark.parametrize("nclean", [0, 1, 2])
+    @pytest.mark.parametrize("extra", [0, 1, 2])
+    @pytest.mark.parametrize("epsilon", [1, -1])
+    def test_type_ii(self, epsilon, extra, nclean):
+        rng = np.random.default_rng([2, epsilon + 1, extra, nclean])
+        for _ in range(6):
+            lam = rng.uniform(-2.0, 2.0)
+            clean = self.clean_values(rng, lam, nclean)
+            self.check(*planted_operator(rng, "II", lam, extra, clean, epsilon))
+
+    @pytest.mark.parametrize("nclean", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "extra", [pytest.param(0, marks=pytest.mark.xfail(strict=True, reason=SINGLE_BLOCK)), 1, 2]
+    )
+    def test_type_iii(self, extra, nclean):
+        rng = np.random.default_rng([3, extra, nclean])
+        for _ in range(6):
+            lam = rng.uniform(-2.0, 2.0)
+            clean = self.clean_values(rng, lam, nclean)
+            self.check(*planted_operator(rng, "III", lam, extra, clean))
+
+    @pytest.mark.xfail(strict=True, reason=SINGLE_BLOCK)
+    def test_single_type_iii_block(self):
+        # the canonical block at 0.5 rotated by 20 seeded rotations; all 20
+        # come back as type IV with residuals between 3e-6 and 9e-5
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            self.check(*planted_operator(rng, "III", 0.5, 0, [], orthogonal=True))
 
 
 class TestCluster:

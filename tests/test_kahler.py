@@ -6,6 +6,7 @@ import pytest
 
 from isoparam import kahler_angle as ka
 from isoparam import (
+    DimensionMismatch,
     KahlerProfile,
     RealSubspace,
     VectorNotInSubspace,
@@ -298,6 +299,11 @@ class TestInvariants:
     def test_subspace_rejects_non_finite_basis(self, bad):
         with pytest.raises(ValueError):
             RealSubspace(2, [[bad, 0.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("basis", [5.0, np.zeros((1, 4, 4)), np.zeros((0, 0, 0))])
+    def test_subspace_basis_is_a_vector_or_matrix(self, basis):
+        with pytest.raises(DimensionMismatch):
+            RealSubspace(2, basis)
 
 
 class TestBlockConstruction:

@@ -214,6 +214,21 @@ class TestCharPoly:
         with pytest.raises(error):
             tube_char_roots(n, k, r, 0.0, C)
 
+    @pytest.mark.parametrize(
+        "k, r, c",
+        [(1, 1e-310, C), (2, 1e-310, C), (3, 1e-310, C), (2, 0.5, -1e300), (3, 1e-300, -1e-300)],
+        ids=["k1-subnormal-r", "k2-subnormal-r", "k3-subnormal-r", "c-squared-overflows",
+             "lam-underflows"],
+    )
+    def test_non_finite_factors_raise_focal_radius(self, k, r, c):
+        # at a subnormal r, -c/(4 lam) overflows; at c = -1e300, c^2 does;
+        # at c = r = 1e-300, lam underflows to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (tube_char_poly, tube_char_roots):
+                with pytest.raises(FocalRadius, match="not finite"):
+                    call(3, k, r, np.pi / 2 if k == 1 else np.pi / 4, c)
+
 
 class TestMeanCurvature:
     def test_minimal_ruled_limit(self):
