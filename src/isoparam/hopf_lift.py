@@ -37,10 +37,11 @@ import numpy as np
 from .errors import (
     ConstraintViolation,
     DimensionMismatch,
-    NondiagnosableOperator,
     check_curvature,
 )
-from .indefinite_linalg import JORDAN_TOL, JordanClassification, classify_jordan
+from .indefinite_linalg import (
+    JORDAN_TOL, JordanClassification, _assemble, _check_reconstruction, classify_jordan,
+)
 from .tube_geometry import TubeSpectrum, _tube_block, spectrum_from_values
 
 
@@ -194,27 +195,12 @@ def classify_lift(data: LiftedShapeData) -> JordanClassification:
         e[1] += L - 1
         e[2] += L - 1
         e[3].append(free)
-    eigs.sort(key=lambda e: (e is not first, e[0]))
-
-    basis = np.hstack([cols[:, :lead]] + [blk for e in eigs for blk in e[3]])
-    cls = JordanClassification(
-        jtype=small.jtype,
-        real_eigs=tuple(sorted((float(v), a, g) for v, a, g, _ in eigs)),
-        complex_pair=small.complex_pair,
-        epsilon=small.epsilon,
-        adapted_basis=basis,
-        diag=tuple(float(e[0]) for e in eigs for blk in e[3] for _ in range(blk.shape[1])),
-        dim=m + 1,
-    )
+    cls = _assemble(small.jtype, cols[:, :lead], eigs, first, small.complex_pair, small.epsilon)
 
     # the guard of classify_jordan's last rung, on the full bordered matrix
     M, signs = _arrowhead(data.spectrum_down.expanded(), data.b, s0)
-    gram_err, shape_err = cls.residuals(M, signs)
-    scale = 1.0 + np.abs(M).max()
-    if not max(gram_err, shape_err) / scale <= 100 * JORDAN_TOL * scale:
-        raise NondiagnosableOperator(
-            f"deflated lift does not reconstruct (gram {gram_err:.2e}, shape {shape_err:.2e})"
-        )
+    tol = JORDAN_TOL * (1.0 + np.abs(M).max())
+    _check_reconstruction(cls, M, signs, tol, "deflated lift does not reconstruct")
     return cls
 
 

@@ -285,32 +285,47 @@ def _classify_pass(A, G, eig, merge_tol, rank_threshold, kernels):
     if total != n:
         raise NondiagnosableOperator(f"multiplicities sum to {total}, expected {n}")
 
-    basis, epsilon, diag = _adapted_basis(A, G, n, eig, jtype, eigs, complex_pair, kernels)
-
-    cls = JordanClassification(
-        jtype=jtype,
-        real_eigs=tuple(sorted(eigs)),
-        complex_pair=complex_pair,
-        epsilon=epsilon,
-        adapted_basis=basis,
-        diag=tuple(diag),
-        dim=n,
-    )
-    gram_err, shape_err = cls.residuals(A, G)
-    # 100 merge_tol (1 + max|A|), with the scale divided out: merge_tol
-    # already carries it, and the product overflows once max|A| > ~1e150
-    scale = 1 + np.abs(A).max()
-    if max(gram_err, shape_err) / scale > 100 * merge_tol:
-        raise NondiagnosableOperator(
-            f"canonical reconstruction failed (gram {gram_err:.2e}, shape {shape_err:.2e})"
-        )
+    lead, blocks, first, epsilon = _adapted_basis(A, G, eig, jtype, eigs, complex_pair, kernels)
+    cls = _assemble(jtype, lead, blocks, first, complex_pair, epsilon)
+    _check_reconstruction(cls, A, G, merge_tol, "canonical reconstruction failed")
     return cls
 
 
-def _adapted_basis(A, G, n, eig, jtype, eigs, complex_pair, kernels):
-    cols, diag, epsilon = [], [], None
-    clean = [(v, a, g) for v, a, g in eigs if a == g]
+def _assemble(jtype, lead, blocks, first, complex_pair, epsilon) -> JordanClassification:
+    """The classification whose basis is the lead columns (the type II, III
+    or IV block), then the columns of each entry [value, alg, geo, [column
+    blocks]] of blocks: first (the timelike or defective one) before the
+    rest, ascending."""
+    blocks = sorted(blocks, key=lambda e: (e is not first, e[0]))
+    basis = np.hstack([lead] + [blk for e in blocks for blk in e[3]])
+    if basis.shape[0] != basis.shape[1]:
+        raise NondiagnosableOperator("adapted basis has wrong dimension")
+    return JordanClassification(
+        jtype=jtype,
+        real_eigs=tuple(sorted((float(v), a, g) for v, a, g, _ in blocks)),
+        complex_pair=complex_pair,
+        epsilon=epsilon,
+        adapted_basis=basis,
+        diag=tuple(float(e[0]) for e in blocks for blk in e[3] for _ in range(blk.shape[1])),
+        dim=basis.shape[0],
+    )
 
+
+def _check_reconstruction(cls, A, gram, tol, what):
+    """Raise NondiagnosableOperator naming what unless cls rebuilds A and
+    gram within 100 tol (1 + max|A|), where a NaN residual fails.  The scale
+    divides the residuals: tol may carry it already, and the product
+    overflows once max|A| > ~1e150."""
+    scale = 1 + np.abs(A).max()
+    gram_err, shape_err = cls.residuals(A, gram)
+    if not (gram_err / scale <= 100 * tol and shape_err / scale <= 100 * tol):
+        raise NondiagnosableOperator(f"{what} (gram {gram_err:.2e}, shape {shape_err:.2e})")
+
+
+def _adapted_basis(A, G, eig, jtype, eigs, complex_pair, kernels):
+    """(lead, blocks, first, epsilon) for _assemble; blocks are orthonormal
+    eigenvectors, or the kernel complement of the Jordan chain."""
+    lead, blocks, first, epsilon = np.empty((len(A), 0)), [], None, None
     if jtype == "IV":
         a, b = complex_pair
         w, vecs = eig
@@ -327,43 +342,32 @@ def _adapted_basis(A, G, n, eig, jtype, eigs, complex_pair, kernels):
         if sq <= 0:
             raise NondiagnosableOperator("complex block carries no spacelike direction")
         norm = np.sqrt(sq)
-        cols.extend([yr / norm, xr / norm])
-
+        lead = np.column_stack([yr / norm, xr / norm])
     elif jtype in ("II", "III"):
         (lam, alg, geo), = [(v, a, g) for v, a, g in eigs if a != g]
-        cols, epsilon = _jordan_chain(A, G, jtype, lam, alg, geo, kernels[lam])
-        diag.extend([lam] * (geo - 1))
+        lead, rest, epsilon = _jordan_chain(A, G, jtype, lam, alg, geo, kernels[lam])
+        first = [lam, alg, geo, [rest]]
+        blocks.append(first)
 
-    # diagonalizable eigenvalues; in type I the Lorentzian block leads
-    timelike_used = jtype != "I"
-    blocks = []
-    for value, alg, geo in clean:
+    # diagonalizable eigenvalues; only type I holds a timelike one
+    for value, alg, geo in eigs:
+        if alg != geo:
+            continue
         Vcols, signs = _form_orthonormalize(G, kernels[value])
-        has_neg = bool((signs < 0).any())
-        if has_neg:
-            if timelike_used or (signs < 0).sum() > 1:
+        blocks.append([value, alg, geo, [Vcols]])
+        if (signs < 0).any():
+            if jtype != "I" or first is not None or (signs < 0).sum() > 1:
                 raise NondiagnosableOperator("too many timelike eigendirections")
-            timelike_used = True
-        blocks.append((value, Vcols, has_neg))
-    if not timelike_used:
+            first = blocks[-1]
+    if jtype == "I" and first is None:
         raise NondiagnosableOperator("no timelike eigendirection found for type I")
-
-    # the timelike block first: only type I can hold one
-    blocks.sort(key=lambda blk: (not blk[2], blk[0]))
-    for value, Vcols, _ in blocks:
-        cols.extend(Vcols.T)
-        diag.extend([value] * Vcols.shape[1])
-
-    basis = np.column_stack(cols)
-    if basis.shape != (n, n):
-        raise NondiagnosableOperator("adapted basis has wrong dimension")
-    return basis, epsilon, diag
+    return lead, blocks, first, epsilon
 
 
 def _jordan_chain(A, G, jtype, lam, alg, geo, kernel):
-    """Columns of the type II or III block at the defective eigenvalue lam,
-    then the geo - 1 spacelike directions of its kernel off the chain;
-    returns (columns, epsilon).  With N = A - lam I the chain has length
+    """(chain, rest, epsilon): the columns of the type II or III block at the
+    defective eigenvalue lam, and the geo - 1 spacelike directions of its
+    kernel off the chain.  With N = A - lam I the chain has length
     p = alg - geo + 1: its top is the least-null direction of (V^T N V)^(p-1),
     V the alg most-null right singular vectors of N^p, and N maps it down."""
     n = A.shape[0]
@@ -398,12 +402,12 @@ def _jordan_chain(A, G, jtype, lam, alg, geo, kernel):
         e1 = N @ e3
         cols = [e1, e2, e3]
         null, unit = e1, e2
+    rest = np.empty((n, 0))
     if geo > 1:
         # the kernel directions G-orthogonal to the chain (<null, unit> = 1)
         K = kernel - np.outer(null, (unit @ G @ kernel) / float(null @ G @ unit))
         q, _, _ = np.linalg.svd(K, full_matrices=False)
-        Kcols, signs = _form_orthonormalize(G, q[:, : geo - 1])
+        rest, signs = _form_orthonormalize(G, q[:, : geo - 1])
         if (signs < 0).any():
             raise NondiagnosableOperator(f"type {jtype} kernel complement is not spacelike")
-        cols.extend(Kcols.T)
-    return cols, epsilon
+    return np.column_stack(cols), rest, epsilon

@@ -73,6 +73,9 @@ class TubeSpectrum:
         ents = tuple(sorted((float(v), int(a), int(g)) for v, a, g in self.entries))
         if any(a <= 0 or g <= 0 for _, a, g in ents):
             raise ValueError("multiplicities must be positive")
+        hopf = [] if self.hopf_value is None else [self.hopf_value]
+        if not np.isfinite([v for v, _, _ in ents] + hopf).all():
+            raise ValueError("curvatures must be finite")
         object.__setattr__(self, "entries", ents)
 
     @property
@@ -146,14 +149,21 @@ class TubeSpec:
 
 
 def jacobi_scalars(nu: float, t: float, c: float):
-    """(g_nu(t), g_nu'(t), h(t), h'(t)) for curvature c < 0."""
+    """(g_nu(t), g_nu'(t), h(t), h'(t)) for curvature c < 0.  Raises
+    ValueError unless nu and t are finite, and FocalRadius when a value
+    overflows."""
     check_curvature(c)
+    if not (np.isfinite(nu) and np.isfinite(t)):
+        raise ValueError(f"need finite nu and t, got nu = {nu}, t = {t}")
     s0 = np.sqrt(-c) / 2
-    ch, sh = np.cosh(s0 * t), np.sinh(s0 * t)
-    g = ch - (nu / s0) * sh
-    gp = s0 * sh - nu * ch
-    h = -sh / s0
-    hp = -ch
+    with np.errstate(over="ignore", invalid="ignore"):
+        ch, sh = np.cosh(s0 * t), np.sinh(s0 * t)
+        g = ch - (nu / s0) * sh
+        gp = s0 * sh - nu * ch
+        h = -sh / s0
+        hp = -ch
+    if not np.isfinite([g, gp, h, hp]).all():
+        raise FocalRadius(f"the Jacobi scalars at t = {t}, nu = {nu} overflow")
     return float(g), float(gp), float(h), float(hp)
 
 
@@ -279,10 +289,11 @@ def tube_mean_curvature(n: int, k: int, r: float, c: float) -> float:
 
     H = 2 s0 (k - 1) / sinh(2 s0 r) + 2n s0 tanh(s0 r),  s0 = sqrt(-c)/2,
 
-    with 1/sinh(x) = 2 e^(-x) / (1 - e^(-2x)), which cannot overflow.
+    with 1/sinh(x) = 2 e^(-x) / (1 - e^(-2x)), and no such term for k = 1.
     Constant in the normal direction (and hence in the Kahler angle): the
     tubes are isoparametric.  For k = 1, r = 0 is allowed and gives the
-    minimal ruled hypersurface itself.
+    minimal ruled hypersurface itself.  Raises FocalRadius when H is not
+    finite (1/sinh overflows at a tiny r).
     """
     if n < 2 or not 1 <= k <= 2 * n - 3:
         raise InvalidCodimension(f"need n >= 2 and 1 <= k <= 2n-3, got n={n}, k={k}")
@@ -291,8 +302,13 @@ def tube_mean_curvature(n: int, k: int, r: float, c: float) -> float:
     if r == 0:
         return 0.0
     s0 = np.sqrt(-c) / 2
-    csch = 2 * np.exp(-2 * s0 * r) / -np.expm1(-4 * s0 * r)
-    return float(2 * s0 * (k - 1) * csch + 2 * n * s0 * np.tanh(s0 * r))
+    H = 2 * n * s0 * np.tanh(s0 * r)
+    if k > 1:
+        with np.errstate(over="ignore", divide="ignore"):
+            H = 2 * s0 * (k - 1) * (2 * np.exp(-2 * s0 * r) / -np.expm1(-4 * s0 * r)) + H
+    if not np.isfinite(H):
+        raise FocalRadius(f"the mean curvature at r = {r} is not finite")
+    return float(H)
 
 
 def standard_spectrum(example: str, n: int, r: float = None, c: float = -4.0, k: int = None) -> TubeSpectrum:

@@ -236,6 +236,13 @@ class TestClassificationInvariants:
         with pytest.raises(NondiagnosableOperator, match="inconsistent multiplicities"):
             _classify_pass(A, minkowski(3), eig, MERGE_TOL * scale, 10.0 * scale, {})
 
+    @pytest.mark.parametrize("residuals", [(np.nan, np.nan), (0.0, np.nan), (np.nan, 0.0)])
+    def test_nan_residual_fails_the_guard(self, monkeypatch, residuals):
+        # every rung's guard refuses, so the last one raises
+        monkeypatch.setattr(JordanClassification, "residuals", lambda cls, A, gram: residuals)
+        with pytest.raises(NondiagnosableOperator, match="canonical reconstruction failed"):
+            classify_jordan(np.diag([-1.0, 2.0, 3.0]), minkowski(3))
+
     def test_one_eig_per_call(self, monkeypatch):
         # the type IV block takes its eigenvector from the eig of the ladder
         eig, calls = np.linalg.eig, []

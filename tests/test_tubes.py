@@ -77,6 +77,23 @@ class TestJacobiScalars:
                 fd = (gp_[0] - gm) / (2 * h)
                 assert abs(fd - gp) < 1e-8
 
+    @pytest.mark.parametrize(
+        "nu, t", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, -np.inf)]
+    )
+    def test_rejects_non_finite_input(self, nu, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                jacobi_scalars(nu, t, C)
+
+    @pytest.mark.parametrize("t", [1000.0, -1000.0])
+    def test_overflow_raises_focal_radius(self, t):
+        # cosh(1000) overflows, and g = cosh - nu sinh is then inf - inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FocalRadius, match="overflow"):
+                jacobi_scalars(1.0, t, C)
+
 
 class TestParallelData:
     def test_start_values(self):
@@ -259,6 +276,47 @@ class TestMeanCurvature:
             warnings.simplefilter("error")
             H = tube_mean_curvature(n, k, 400.0, C)
         assert abs(H - 2 * n * np.sqrt(-C) / 2) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_k1_has_no_csch_term_at_a_subnormal_radius(self, n):
+        # 1/sinh(2 s0 r) overflows at r = 1e-320, but for k = 1 its
+        # coefficient k - 1 is zero: H = 2n s0 tanh(s0 r) = 2n r at c = -4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert tube_mean_curvature(n, 1, 1e-320, C) == 2 * n * 1e-320
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_overflowing_csch_raises_focal_radius(self, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FocalRadius, match="not finite"):
+                tube_mean_curvature(4, k, 1e-320, C)
+
+
+class TestTubeSpectrumValues:
+    @pytest.mark.parametrize(
+        "values", [[1.0, np.nan], [np.inf, 1.0], [-np.inf], [np.nan]], ids=str
+    )
+    def test_spectrum_from_values_rejects_non_finite(self, values):
+        # the merge tolerance scales with the larger value, so inf or NaN
+        # would swallow its neighbour into one entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                tg.spectrum_from_values(values)
+
+    @pytest.mark.parametrize(
+        "entries, hopf",
+        [(((np.nan, 1, 1),), None), (((1.0, 1, 1), (np.inf, 2, 2)), None),
+         (((1.0, 2, 2),), np.nan), (((1.0, 2, 2),), -np.inf)],
+    )
+    def test_tube_spectrum_rejects_non_finite(self, entries, hopf):
+        with pytest.raises(ValueError, match="finite"):
+            tg.TubeSpectrum(entries, hopf_value=hopf)
+
+    def test_finite_spectrum_is_kept(self):
+        spec = tg.TubeSpectrum(((2.0, 1, 1), (0.5, 2, 2)), hopf_value=2.0)
+        assert spec.entries == ((0.5, 2, 2), (2.0, 1, 1))
 
 
 class TestTubeSpec:
