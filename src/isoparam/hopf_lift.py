@@ -25,7 +25,11 @@ as exact spacelike eigenvectors (Golub's deflation of bordered diagonal
 matrices).  What is left is a bordered block with one row per distinct
 curvature plus the vertical field; for Hopf data b has one entry, so the
 type is decided by a 2 x 2 block (Magid).  Only that block goes through
-the dense Jordan classification.
+the dense Jordan classification.  The answer must still reconstruct the
+full bordered matrix within the bound of classify_jordan's last rung; that
+guard is evaluated from the same structure (the diagonal and border, each
+run's reflection and the block's basis), never through a dense
+(2n x 2n) product.
 """
 
 from __future__ import annotations
@@ -122,17 +126,63 @@ def lift_shape_operator(data: LiftedShapeData) -> tuple[np.ndarray, np.ndarray]:
     return M, np.diag(signs)
 
 
-def _reflect(seg: np.ndarray, H: np.ndarray) -> float:
-    """Make the identity block H the Householder reflection that maps seg
-    to sigma e_1, and return sigma.  H stays the identity when seg has no
-    weight beyond its first entry."""
+def _reflect(seg: np.ndarray):
+    """(sigma, H): the Householder reflection H that maps seg to sigma e_1,
+    or H None where seg has no weight beyond its first entry and the
+    reflection is the identity."""
     if not seg[1:].any():
-        return float(seg[0])
+        return float(seg[0]), None
     sigma = -np.copysign(np.linalg.norm(seg), seg[0])
     v = seg.copy()
     v[0] -= sigma
-    H -= (2.0 / (v @ v)) * np.outer(v, v)
-    return float(sigma)
+    return float(sigma), np.eye(len(seg)) - (2.0 / (v @ v)) * np.outer(v, v)
+
+
+def _lift_residuals(data, small, cols, C, runs, free):
+    """The pair residuals(M, signs) of the full bordered matrix M in the
+    adapted basis B of classify_lift, from the structure of both: no M, no
+    Q and no (2n x 2n) product.
+
+    B = Q E.  Q is block diagonal, with one reflection H per run of equal
+    curvatures (runs holds (value, start, length, H), H None for the
+    identity), and fixes the vertical field.  E holds the block's basis S
+    on the first row of each run and on the vertical row, then unit
+    columns: the free columns of the runs.  Both residuals are maxima over
+    entries, and
+    canonical_gram() and canonical_matrix() differ from the identity and a
+    diagonal only on the lead columns, which are columns of S; so the
+    columns of B are taken in the order [Q E_S, the free columns by run].
+
+    - cols = Q E_S, with C its block of canonical_matrix(): M cols is
+      d_i cols_i - s0 b_i cols_m on the first m rows and s0 b^T cols[:m]
+      on the last.
+    - free holds (j, value): run j's free columns F = H[:, 1:] took value.
+      M F - value F lives on the run's rows, (d_j - value) F, and on the
+      vertical row, s0 b_run^T F.  For an identity H that is |d_j - value|,
+      since b is zero on the run beyond its first row.
+    - Q^T G Q is diag(H^T H per run, -1), so B^T G B - canonical_gram()
+      is S^T diag(|H[:, 0]|^2, ..., -1) S - small.canonical_gram() on
+      cols, the cross terms S[j] (H^T H)[0, 1:], and (H^T H)[1:, 1:] - I;
+      the last two vanish for an identity H.
+    """
+    d, b = data.spectrum_down.expanded(), data.b
+    s0 = np.sqrt(-data.c) / 2
+    m = len(d)
+    S = small.adapted_basis
+    MB = np.vstack([d[:, None] * cols[:m] - s0 * b[:, None] * cols[m], s0 * (b @ cols[:m])])
+    shapes = [np.abs(MB - cols @ C).max()]
+    norms = [1.0 if H is None else H[:, 0] @ H[:, 0] for *_, H in runs] + [-1.0]
+    grams = [np.abs(S.T * norms @ S - small.canonical_gram()).max()]
+    for j, value in free:
+        d_j, s, L, H = runs[j]
+        if H is None:
+            shapes.append(abs(d_j - value))
+            continue
+        F, P = H[:, 1:], H.T @ H
+        shapes += [np.abs(d_j * F - F * value).max(), np.abs(s0 * (b[s:s + L] @ F)).max()]
+        grams += [np.abs(np.outer(S[j], P[0, 1:])).max(), np.abs(P[1:, 1:] - np.eye(L - 1)).max()]
+    # np.max, not max: a NaN residual must survive to fail the guard
+    return float(np.max(grams)), float(np.max(shapes))
 
 
 def classify_lift(data: LiftedShapeData) -> JordanClassification:
@@ -155,26 +205,33 @@ def classify_lift(data: LiftedShapeData) -> JordanClassification:
     of classify_jordan (the leading block, then the timelike or defective
     eigenvalue, then the rest ascending) and must reconstruct the full
     bordered matrix within the guard of that last rung, or
-    NondiagnosableOperator is raised.
+    NondiagnosableOperator is raised.  The guard's residuals are evaluated
+    from the structure of the matrix and the basis (_lift_residuals), in
+    O(n) work where no run is reflected; its bound, tolerance and scale are
+    those of the dense check on the full matrix.
     """
     entries = data.spectrum_down.entries
     values = np.array([v for v, _, _ in entries])
-    runs = [a for _, a, _ in entries]
-    starts = np.cumsum([0] + runs[:-1])
-    m = sum(runs)
+    lengths = [a for _, a, _ in entries]
+    starts = np.cumsum([0] + lengths[:-1])
+    m = sum(lengths)
     s0 = np.sqrt(-data.c) / 2
 
-    # deflate: Q is orthogonal and fixes the vertical field
-    Q = np.eye(m + 1)
-    border = np.array(
-        [_reflect(data.b[s:s + L], Q[s:s + L, s:s + L]) for s, L in zip(starts, runs)]
-    )
-    block, signs = _arrowhead(values, border, s0)
+    # deflate: one reflection per run, kept as its own block
+    sigmas, refls = zip(*[_reflect(data.b[s:s + L]) for s, L in zip(starts, lengths)])
+    runs = list(zip(values, starts, lengths, refls))
+    block, signs = _arrowhead(values, np.array(sigmas), s0)
     small = classify_jordan(block, np.diag(signs))
 
-    # embed: [value, alg, geo, column blocks] per eigenvalue
+    # embed: the block's rows are the first column of each run's reflection
+    # and the vertical field; [value, alg, geo, column blocks] per eigenvalue
+    heads = np.zeros((m + 1, len(runs) + 1), order="F")
+    heads[list(starts) + [m], range(len(runs) + 1)] = 1.0
+    for j, (_, s, L, H) in enumerate(runs):
+        if H is not None:
+            heads[s:s + L, j] = H[:, 0]
     lead = small.dim - len(small.diag)  # the canonical block's columns
-    cols = Q[:, list(starts) + [m]] @ small.adapted_basis
+    cols = heads @ small.adapted_basis
     diag = np.array(small.diag)
     eigs = [[v, a, g, [cols[:, lead:][:, diag == v]]] for v, a, g in small.real_eigs]
     # the timelike (I) or defective (II, III) eigenvalue comes first; IV has none
@@ -182,25 +239,34 @@ def classify_lift(data: LiftedShapeData) -> JordanClassification:
     first = next((e for e in eigs if e[0] == first), None)
     centers = np.array([e[0] for e in eigs])
     reach = JORDAN_TOL * (1.0 + np.abs(block).max())
-    for value, s, L in zip(values, starts, runs):
+    free = []  # (entry, run) for the free columns of each run
+    for j, (value, s, L, H) in enumerate(runs):
         if L == 1:
             continue
-        free = Q[:, s + 1:s + L]
+        F = np.zeros((m + 1, L - 1))
+        F[s:s + L] = np.eye(L)[:, 1:] if H is None else H[:, 1:]
         near = int(np.argmin(np.abs(centers - value))) if centers.size else None
         if near is None or abs(centers[near] - value) > reach:
-            eigs.append([value, L - 1, L - 1, [free]])
-            continue
-        e = eigs[near]
-        e[0] += (L - 1) * (value - e[0]) / (e[1] + L - 1)  # the mean over all copies
-        e[1] += L - 1
-        e[2] += L - 1
-        e[3].append(free)
+            e = [value, L - 1, L - 1, [F]]
+            eigs.append(e)
+        else:
+            e = eigs[near]
+            e[0] += (L - 1) * (value - e[0]) / (e[1] + L - 1)  # the mean over all copies
+            e[1] += L - 1
+            e[2] += L - 1
+            e[3].append(F)
+        free.append((e, j))
     cls = _assemble(small.jtype, cols[:, :lead], eigs, first, small.complex_pair, small.epsilon)
 
     # the guard of classify_jordan's last rung, on the full bordered matrix
-    M, signs = _arrowhead(data.spectrum_down.expanded(), data.b, s0)
-    tol = JORDAN_TOL * (1.0 + np.abs(M).max())
-    _check_reconstruction(cls, M, signs, tol, "deflated lift does not reconstruct")
+    # M, whose largest entry is max(max|d|, s0 max|b|); C is canonical_matrix()
+    # on cols, with the values that the block's eigenvalues took
+    moved = {v: e[0] for e, (v, _, _) in zip(eigs, small.real_eigs)}
+    C = np.diag([0.0] * lead + [moved[v] for v in small.diag])
+    C[:lead, :lead] = cls.lead_block()
+    residuals = _lift_residuals(data, small, cols, C, runs, [(j, e[0]) for e, j in free])
+    scale = 1.0 + max(np.abs(values).max(), s0 * np.abs(data.b).max())
+    _check_reconstruction(residuals, scale, JORDAN_TOL * scale, "deflated lift does not reconstruct")
     return cls
 
 

@@ -58,31 +58,25 @@ class JordanClassification:
                 return value
         return None
 
-    def canonical_matrix(self) -> np.ndarray:
-        """The type I/II/III/IV matrix realized in adapted_basis."""
-        M = np.zeros((self.dim, self.dim))
+    def lead_block(self) -> np.ndarray:
+        """The leading type II, III or IV block of canonical_matrix(); 0 x 0
+        for type I."""
         if self.jtype == "I":
-            np.fill_diagonal(M, self.diag)
-            return M
-        if self.jtype == "II":
-            lam = self.defective_eig
-            M[0, 0] = M[1, 1] = lam
-            M[1, 0] = float(self.epsilon)
-            off = 2
-        elif self.jtype == "III":
-            lam = self.defective_eig
-            M[0, 0] = M[1, 1] = M[2, 2] = lam
-            M[0, 2] = 1.0
-            M[2, 1] = 1.0
-            off = 3
-        else:  # IV
+            return np.zeros((0, 0))
+        if self.jtype == "IV":
             a, b = self.complex_pair
-            M[0, 0] = M[1, 1] = a
-            M[0, 1] = -b
-            M[1, 0] = b
-            off = 2
-        for i, v in enumerate(self.diag):
-            M[off + i, off + i] = v
+            return np.array([[a, -b], [b, a]])
+        lam = self.defective_eig
+        if self.jtype == "II":
+            return np.array([[lam, 0.0], [float(self.epsilon), lam]])
+        return np.array([[lam, 0.0, 1.0], [0.0, lam, 0.0], [0.0, 1.0, lam]])
+
+    def canonical_matrix(self) -> np.ndarray:
+        """The type I/II/III/IV matrix realized in adapted_basis: the lead
+        block, then diag."""
+        lead = self.lead_block()
+        M = np.diag(np.concatenate([np.zeros(len(lead)), self.diag]))
+        M[:len(lead), :len(lead)] = lead
         return M
 
     def canonical_gram(self) -> np.ndarray:
@@ -287,7 +281,8 @@ def _classify_pass(A, G, eig, merge_tol, rank_threshold, kernels):
 
     lead, blocks, first, epsilon = _adapted_basis(A, G, eig, jtype, eigs, complex_pair, kernels)
     cls = _assemble(jtype, lead, blocks, first, complex_pair, epsilon)
-    _check_reconstruction(cls, A, G, merge_tol, "canonical reconstruction failed")
+    scale = 1 + np.abs(A).max()
+    _check_reconstruction(cls.residuals(A, G), scale, merge_tol, "canonical reconstruction failed")
     return cls
 
 
@@ -311,13 +306,13 @@ def _assemble(jtype, lead, blocks, first, complex_pair, epsilon) -> JordanClassi
     )
 
 
-def _check_reconstruction(cls, A, gram, tol, what):
-    """Raise NondiagnosableOperator naming what unless cls rebuilds A and
-    gram within 100 tol (1 + max|A|), where a NaN residual fails.  The scale
+def _check_reconstruction(residuals, scale, tol, what):
+    """Raise NondiagnosableOperator naming what unless the residual pair
+    (gram, shape) of residuals() is within 100 tol scale, with scale
+    = 1 + max|A| of the reconstructed A; a NaN residual fails.  The scale
     divides the residuals: tol may carry it already, and the product
     overflows once max|A| > ~1e150."""
-    scale = 1 + np.abs(A).max()
-    gram_err, shape_err = cls.residuals(A, gram)
+    gram_err, shape_err = residuals
     if not (gram_err / scale <= 100 * tol and shape_err / scale <= 100 * tol):
         raise NondiagnosableOperator(f"{what} (gram {gram_err:.2e}, shape {shape_err:.2e})")
 

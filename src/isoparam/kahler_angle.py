@@ -19,12 +19,18 @@ SVD), _complement_rows gives the complements (N, 2m - k, 2m) (one full
 SVD), and kahler_profiles gives one (profile, vectors, decomposition) per
 basis (one eigh).  The functions on one RealSubspace (random_subspace,
 unitary_conjugate, complement, kahler_profile) run them on a stack of one.
+
+A RealSubspace computes its complement at most once, on first use of its
+perp property, and keeps it on the instance: complement(W) and build_w
+share that one SVD.  Nothing is kept across objects, so a new RealSubspace
+with the same basis computes its complement again.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -99,6 +105,12 @@ class RealSubspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
+
+    @cached_property
+    def perp(self) -> "RealSubspace":
+        """The orthogonal complement (one full SVD), computed on first use
+        and kept on this instance only."""
+        return RealSubspace(self.ambient_cdim, _complement_rows(self.basis, 2 * self.ambient_cdim))
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto the subspace."""
@@ -258,9 +270,12 @@ def complement(W: RealSubspace) -> RealSubspace:
     """The orthogonal complement of W in C^m.
 
     Its profile shares every nonzero angle of W's profile with equal
-    multiplicity; only the complex (angle zero) parts may differ.
+    multiplicity; only the complex (angle zero) parts may differ.  This is
+    W.perp: computed once per instance, so repeated calls on one W (and
+    build_w on it) share one SVD, while another RealSubspace with the same
+    basis computes its own.
     """
-    return RealSubspace(W.ambient_cdim, _complement_rows(W.basis, 2 * W.ambient_cdim))
+    return W.perp
 
 
 def unitary_images(bases: np.ndarray, seeds) -> np.ndarray:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotNormal, NotTangent, WNotProper, check_curvature
-from .kahler_angle import RANK_TOL, RealSubspace, _complement_rows, apply_J, complex_structure
+from .kahler_angle import RANK_TOL, RealSubspace, apply_J, complex_structure
 
 NORMAL_TOL = 1e-9  # tangency and normality residual at the base point
 
@@ -328,7 +328,8 @@ class SubmanifoldW:
 def build_w(w: RealSubspace, n: int, c: float) -> SubmanifoldW:
     """Assemble the frames of W_w from a proper real subspace w of C^(n-1).
 
-    w_perp is the complement of w (one full SVD).  K = w.basis (J w_perp)^T
+    w_perp is w.perp, the complement that w computes once (one full SVD)
+    and shares with complement(w).  K = w.basis (J w_perp)^T
     is P w_perp written in w's own coordinates, of size (2m - k) x k; its
     singular values are the sines of the Kahler angles of w_perp.  One SVD
     of K splits w: the left singular vectors with singular value above
@@ -342,7 +343,7 @@ def build_w(w: RealSubspace, n: int, c: float) -> SubmanifoldW:
     m = n - 1
     if w.dim == 2 * m:
         raise WNotProper("w must be a proper subspace of g_alpha")
-    w_perp = _complement_rows(w.basis, 2 * m)
+    w_perp = w.perp.basis
     u, s, _ = np.linalg.svd(w.basis @ apply_J(w_perp).T)
     rank = int((s > RANK_TOL).sum())
     frame = u.T @ w.basis

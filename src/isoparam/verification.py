@@ -18,7 +18,7 @@ import numpy as np
 from . import classifier, hopf_lift, indefinite_linalg as il, kahler_angle as ka
 from . import solvable_model as sm
 from . import tube_geometry as tg
-from .errors import check_curvature, check_seed
+from .errors import IsoparamError, check_curvature, check_seed
 
 SUITES = ("cartan", "jordan", "tube", "kahler", "group", "lift")
 
@@ -576,18 +576,40 @@ _SUITE_RUNNERS = {
 }
 
 
+def _raised(exc: IsoparamError) -> dict:
+    """The failed check of a suite that raised: no samples and no residual,
+    the module that raised, and the error as its worst input."""
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    return {
+        "module": tb.tb_frame.f_globals["__name__"].rsplit(".", 1)[-1],
+        "name": "raised",
+        "samples": 0,
+        "max_residual": None,
+        "tol": 0.0,
+        "passed": False,
+        "worst_input": {"error": type(exc).__name__, "message": str(exc)},
+    }
+
+
 def verify_suites(config: RunConfig, suites=SUITES) -> dict:
     """Run the requested suites and return a structured summary.
 
     Deterministic given (seed, suites); failures are recorded with the
-    module, invariant name, worst input and residual.
+    module, invariant name, worst input and residual.  A suite whose
+    sample raises an IsoparamError reports one failed check "raised" that
+    names the error, and the other suites still run.
     """
     unknown = [s for s in suites if s not in _SUITE_RUNNERS]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
     results = []
     for name in suites:
-        checks = _SUITE_RUNNERS[name](config)
+        try:
+            checks = _SUITE_RUNNERS[name](config)
+        except IsoparamError as exc:
+            checks = [_raised(exc)]
         passed = sum(ch["passed"] for ch in checks)
         results.append(
             {"suite": name, "passed": passed, "failed": len(checks) - passed, "checks": checks}

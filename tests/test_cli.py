@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from isoparam import random_subspace, verification
+from isoparam import FocalRadius, random_subspace, verification
 from isoparam.cli import EXAMPLES, EXIT_NOINPUT, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, run
 from isoparam.verification import _record
 from test_readme_cli import strict_json
@@ -246,6 +246,43 @@ class TestVerify:
         _record(checks, "tube_geometry", "probe", [0.1, 3.0, 0.2], 5.0, self.INPUTS)
         assert checks[0]["passed"] is True
         assert "worst_input" not in checks[0]
+
+    @pytest.mark.parametrize("curvature", ["-16", "-100", "-1e-6"])
+    def test_suite_that_raises_is_a_failed_record(self, capsys, curvature):
+        # at these curvatures some suites draw a sample in a defect band
+        # that raises; each reports one failed check and every suite runs
+        code, out = run_cli(
+            capsys, "verify", "--seed", "0", f"--curvature={curvature}", "--output", "json"
+        )
+        assert code == EXIT_VALIDATION
+        payload = json.loads(out)
+        validate("verify", payload)
+        assert [suite["suite"] for suite in payload["suites"]] == list(verification.SUITES)
+        raised = [ch for suite in payload["suites"] for ch in suite["checks"] if ch["name"] == "raised"]
+        assert raised
+        for ch in raised:
+            assert (ch["samples"], ch["max_residual"], ch["passed"]) == (0, None, False)
+            assert set(ch["worst_input"]) == {"error", "message"}
+
+    def test_raised_record_names_the_error(self, monkeypatch):
+        def raising_suite(config):
+            raise FocalRadius("r at a focal radius")
+
+        monkeypatch.setitem(verification._SUITE_RUNNERS, "tube", raising_suite)
+        record = verification.verify_suites(verification.RunConfig(), ("tube", "cartan"))
+        assert record["suites"][0]["checks"] == [
+            {
+                "module": "test_cli",
+                "name": "raised",
+                "samples": 0,
+                "max_residual": None,
+                "tol": 0.0,
+                "passed": False,
+                "worst_input": {"error": "FocalRadius", "message": "r at a focal radius"},
+            }
+        ]
+        assert record["suites"][1]["failed"] == 0
+        assert (record["failed"], record["ok"]) == (1, False)
 
     def test_failed_record_exits_2_and_prints_failures(self, capsys, monkeypatch):
         def failing_suite(config):

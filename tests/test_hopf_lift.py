@@ -4,6 +4,7 @@ types and the projection back to downstairs spectra."""
 import numpy as np
 import pytest
 
+from isoparam import hopf_lift
 from isoparam import (
     ConstraintViolation,
     JordanClassification,
@@ -368,17 +369,64 @@ def test_free_column_joins_within_first_rung(eps):
 
 @pytest.mark.parametrize("residuals", [(np.nan, np.nan), (0.0, np.nan), (np.nan, 0.0)])
 def test_nan_residual_fails_the_lift_guard(monkeypatch, residuals):
-    # only the full bordered matrix gets the NaN, so the deflated block
-    # classifies and the lift's own guard must refuse
+    # only the lift's structured residuals get the NaN, so the deflated
+    # block classifies and the lift's own guard must refuse
     n = 3
     data = hopf_lift_data(standard_spectrum("tube-chk", n, r=0.7, c=C, k=1), C)
-    residuals_of = JordanClassification.residuals
-    monkeypatch.setattr(
-        JordanClassification,
-        "residuals",
-        lambda cls, A, gram: residuals if cls.dim == 2 * n else residuals_of(cls, A, gram),
-    )
+    monkeypatch.setattr(hopf_lift, "_lift_residuals", lambda *args: residuals)
     with pytest.raises(NondiagnosableOperator, match="deflated lift does not reconstruct"):
+        classify_lift(data)
+
+
+def guard_residuals(monkeypatch):
+    """The residual pairs that classify_lift's guard computes, one per call."""
+    pairs = []
+    residuals = hopf_lift._lift_residuals
+    monkeypatch.setattr(hopf_lift, "_lift_residuals", lambda *a: pairs.append(residuals(*a)) or pairs[-1])
+    return pairs
+
+
+def assert_guard_matches_dense(pairs, data):
+    # oracle: residuals() of the classification on the full bordered matrix
+    M, gram = lift_shape_operator(data)
+    dense = classify_lift(data).residuals(M, gram)
+    assert np.abs(np.subtract(pairs[-1], dense)).max() <= 1e-12 * (1 + np.abs(M).max())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 10, 30, 100])
+def test_structured_guard_matches_dense_residuals(monkeypatch, n):
+    pairs = guard_residuals(monkeypatch)
+    for r in ([0.05, 0.7, 2.5] if n <= 30 else [0.7]):
+        for _, data in lift_cases(n, r):
+            assert_guard_matches_dense(pairs, data)
+
+
+def test_structured_guard_matches_dense_on_spread_b(monkeypatch):
+    pairs = guard_residuals(monkeypatch)
+    checked = 0
+    for seed in range(200):
+        n = 2 + seed % 20
+        data = spread_b_lift(n, [n, seed, 21])
+        try:
+            assert_guard_matches_dense(pairs, data)
+        except NondiagnosableOperator:
+            continue  # the block has no canonical shape: no guard ran
+        checked += 1
+    assert checked >= 150
+
+
+def test_lift_forms_no_full_size_residual(monkeypatch):
+    # at n = 100 the guard must not evaluate residuals() on the 2n x 2n matrix
+    n = 100
+    residuals = JordanClassification.residuals
+
+    def small_only(cls, A, gram):
+        if len(A) == 2 * n:
+            raise AssertionError("dense residual of the full lift")
+        return residuals(cls, A, gram)
+
+    monkeypatch.setattr(JordanClassification, "residuals", small_only)
+    for _, data in lift_cases(n, 0.7):
         classify_lift(data)
 
 

@@ -11,6 +11,8 @@ from isoparam import (
     RealSubspace,
     VectorNotInSubspace,
     apply_J,
+    build_w,
+    classify,
     complement,
     complex_structure,
     congruence_invariant,
@@ -256,6 +258,32 @@ class TestComplement:
             for (a1, m1), (a2, m2) in zip(p1, p2):
                 assert m1 == m2
                 assert abs(a1 - a2) < 1e-8
+
+    @pytest.fixture
+    def svd_count(self, monkeypatch):
+        calls = []
+        rows = ka._complement_rows
+        monkeypatch.setattr(ka, "_complement_rows", lambda *a: calls.append(1) or rows(*a))
+        return calls
+
+    def test_one_complement_per_w_tube_op(self, svd_count):
+        # build_w and classify on one w share the complement w computed
+        n, c = 6, -4.0
+        w = random_subspace(n - 1, 6, seed=5)
+        W = build_w(w, n, c)
+        classify(n, c, 0.7, w=w)
+        assert len(svd_count) == 1
+        assert W.w_perp_basis.tobytes() == complement(w).basis.tobytes()
+        assert complement(w) is complement(w)
+
+    def test_complement_is_kept_per_instance_only(self, svd_count):
+        w = random_subspace(3, 2, seed=8)
+        twin = RealSubspace(3, w.basis)
+        complement(w)
+        complement(w)
+        assert len(svd_count) == 1
+        assert complement(twin).basis.tobytes() == complement(w).basis.tobytes()
+        assert len(svd_count) == 2
 
 
 class TestInvariants:
