@@ -139,31 +139,26 @@ def _reflect(seg: np.ndarray):
 
 
 def _lift_residuals(data, small, cols, C, runs, free):
-    """The pair residuals(M, signs) of the full bordered matrix M in the
-    adapted basis B of classify_lift, from the structure of both: no M, no
-    Q and no (2n x 2n) product.
+    """residuals(M, signs) of the full bordered matrix M in the adapted basis
+    B of classify_lift, from their structure, without M, Q or any (2n x 2n)
+    product.
 
-    B = Q E.  Q is block diagonal, with one reflection H per run of equal
-    curvatures (runs holds (value, start, length, H), H None for the
-    identity), and fixes the vertical field.  E holds the block's basis S
-    on the first row of each run and on the vertical row, then unit
-    columns: the free columns of the runs.  Both residuals are maxima over
-    entries, and
-    canonical_gram() and canonical_matrix() differ from the identity and a
-    diagonal only on the lead columns, which are columns of S; so the
-    columns of B are taken in the order [Q E_S, the free columns by run].
-
-    - cols = Q E_S, with C its block of canonical_matrix(): M cols is
-      d_i cols_i - s0 b_i cols_m on the first m rows and s0 b^T cols[:m]
-      on the last.
-    - free holds (j, value): run j's free columns F = H[:, 1:] took value.
-      M F - value F lives on the run's rows, (d_j - value) F, and on the
-      vertical row, s0 b_run^T F.  For an identity H that is |d_j - value|,
-      since b is zero on the run beyond its first row.
-    - Q^T G Q is diag(H^T H per run, -1), so B^T G B - canonical_gram()
-      is S^T diag(|H[:, 0]|^2, ..., -1) S - small.canonical_gram() on
-      cols, the cross terms S[j] (H^T H)[0, 1:], and (H^T H)[1:, 1:] - I;
-      the last two vanish for an identity H.
+    B = Q E: Q is one reflection H per run (runs holds (value, start,
+    length, H), H None for the identity) and fixes the vertical field; E
+    puts the block's basis S on the first row of each run and on the
+    vertical row, then unit columns for the free columns.  Both residuals
+    are maxima over entries, and the canonical gram and matrix are the
+    identity and diagonal off the lead columns, which are S's; so the
+    columns may be taken as cols = Q E_S (with C, its block of the
+    canonical matrix), then, for each (j, value) in free, the free columns
+    F = H[:, 1:] of run j, whose eigenvalue ended at value.
+    - M B - B C: the arrowhead rows on cols; (d_j - value) F on run j's
+      rows and s0 b_run^T F on the vertical row for F (|d_j - value| for
+      an identity H, where b is zero beyond the run's first row).
+    - B^T G B - canonical gram, with Q^T G Q = diag(H^T H, ..., -1):
+      S^T diag(|H[:, 0]|^2, ..., -1) S - small.canonical_gram(), the cross
+      terms S[j] (H^T H)[0, 1:] and (H^T H)[1:, 1:] - I, which vanish for
+      an identity H.
     """
     d, b = data.spectrum_down.expanded(), data.b
     s0 = np.sqrt(-data.c) / 2

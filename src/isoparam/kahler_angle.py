@@ -19,11 +19,8 @@ SVD), _complement_rows gives the complements (N, 2m - k, 2m) (one full
 SVD), and kahler_profiles gives one (profile, vectors, decomposition) per
 basis (one eigh).  The functions on one RealSubspace (random_subspace,
 unitary_conjugate, complement, kahler_profile) run them on a stack of one.
-
-A RealSubspace computes its complement at most once, on first use of its
-perp property, and keeps it on the instance: complement(W) and build_w
-share that one SVD.  Nothing is kept across objects, so a new RealSubspace
-with the same basis computes its complement again.
+A RealSubspace computes its complement once, on first use of perp, and
+keeps it on that instance only.
 """
 
 from __future__ import annotations
@@ -108,8 +105,7 @@ class RealSubspace:
 
     @cached_property
     def perp(self) -> "RealSubspace":
-        """The orthogonal complement (one full SVD), computed on first use
-        and kept on this instance only."""
+        """The orthogonal complement (one full SVD), kept on this instance."""
         return RealSubspace(self.ambient_cdim, _complement_rows(self.basis, 2 * self.ambient_cdim))
 
     def project(self, v: np.ndarray) -> np.ndarray:
@@ -270,10 +266,9 @@ def complement(W: RealSubspace) -> RealSubspace:
     """The orthogonal complement of W in C^m.
 
     Its profile shares every nonzero angle of W's profile with equal
-    multiplicity; only the complex (angle zero) parts may differ.  This is
-    W.perp: computed once per instance, so repeated calls on one W (and
-    build_w on it) share one SVD, while another RealSubspace with the same
-    basis computes its own.
+    multiplicity; only the complex (angle zero) parts may differ.  It is
+    W.perp, so calls on one W (and build_w on it) share one SVD; no state
+    is kept across objects.
     """
     return W.perp
 

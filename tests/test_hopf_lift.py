@@ -403,16 +403,9 @@ def test_structured_guard_matches_dense_residuals(monkeypatch, n):
 
 def test_structured_guard_matches_dense_on_spread_b(monkeypatch):
     pairs = guard_residuals(monkeypatch)
-    checked = 0
     for seed in range(200):
         n = 2 + seed % 20
-        data = spread_b_lift(n, [n, seed, 21])
-        try:
-            assert_guard_matches_dense(pairs, data)
-        except NondiagnosableOperator:
-            continue  # the block has no canonical shape: no guard ran
-        checked += 1
-    assert checked >= 150
+        assert_guard_matches_dense(pairs, spread_b_lift(n, [n, seed, 21]))
 
 
 def test_lift_forms_no_full_size_residual(monkeypatch):
