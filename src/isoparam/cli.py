@@ -3,11 +3,12 @@
 Subcommands: spectrum, classify, lift, moduli, verify, horocycle.
 
 Exit codes: 0 success, 2 numeric or validation failure (a machine-readable
-error record is printed), 64 usage error, 66 input file not found.  The
-tolerance flag --tol, and the environment variable ISOPARAM_TOL that it
-overrides, apply to lift and horocycle only; either must be a finite
-positive number.  For a fixed argv and seed the JSON output is
-byte-identical between runs.
+error record is printed), 64 usage error, 66 input file not found.  A
+command accepts only the flags that it reads: --curvature every command
+but moduli, --seed lift, verify and horocycle, and --tol lift and
+horocycle.  --tol, and the environment variable ISOPARAM_TOL that it
+overrides, must be a finite positive number.  For a fixed argv and seed
+the JSON output is byte-identical between runs.
 """
 
 from __future__ import annotations
@@ -73,17 +74,20 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="isoparam", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, tol=False):
-        p.add_argument("--curvature", type=float, default=-4.0, help="ambient curvature c < 0")
+    def common(p, curvature=True, tol=False, seed=True):
+        # each flag only where the command reads it
+        if curvature:
+            p.add_argument("--curvature", type=float, default=-4.0, help="ambient curvature c < 0")
         if tol:
             # argparse runs a string default through _tol as well
             default = os.environ.get("ISOPARAM_TOL") or "1e-9"
             p.add_argument("--tol", type=_tol, default=default, help="numeric tolerance > 0")
-        p.add_argument("--seed", type=_seed, default=0)
+        if seed:
+            p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--output", choices=("json", "csv", "table"), default=None)
 
     p = sub.add_parser("spectrum", help="principal curvatures of an example or a W_w tube")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--example", choices=EXAMPLES)
     p.add_argument("--subspace", help="JSON file with the defining subspace w")
     p.add_argument("--n", type=int, required=True)
@@ -92,7 +96,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--angle", type=float, default=None, help="Kahler angle of the normal direction")
 
     p = sub.add_parser("classify", help="classify an isoparametric family into cases i-vi")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--example", choices=EXAMPLES)
     p.add_argument("--subspace")
     p.add_argument("--n", type=int, required=True)
@@ -108,7 +112,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--radius", type=float, default=None)
 
     p = sub.add_parser("moduli", help="admissible Kahler-angle profiles for given (n, k)")
-    common(p)
+    common(p, curvature=False, seed=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
 

@@ -19,17 +19,15 @@ around the real form, and defect-two lifts are tubes around the ruled
 minimal submanifolds.
 
 The bordered matrix is an arrowhead, and classify_lift never factors it
-whole.  Inside each run of equal curvatures a Householder reflection moves
-the run's part of b onto one row, and the other rows of the run split off
-as exact spacelike eigenvectors (Golub's deflation of bordered diagonal
-matrices).  What is left is a bordered block with one row per distinct
-curvature plus the vertical field; for Hopf data b has one entry, so the
-type is decided by a 2 x 2 block (Magid).  Only that block goes through
-the dense Jordan classification.  The answer must still reconstruct the
-full bordered matrix within the bound of classify_jordan's last rung; that
-guard is evaluated from the same structure (the diagonal and border, each
-run's reflection and the block's basis), never through a dense
-(2n x 2n) product.
+whole.  A row with no Hopf weight is an exact spacelike eigenvector, so
+only the rows with weight, one weightless anchor per run of equal
+curvatures and the vertical field go through the dense Jordan
+classification; for Hopf data b has one entry, so that block has one row
+per distinct curvature and the type is decided by a 2 x 2 block (Magid).
+The answer must still reconstruct the full bordered matrix within the
+bound of classify_jordan's last rung; that guard is evaluated from the
+same structure (the diagonal and border and the block's basis), never
+through a dense (2n x 2n) product.
 """
 
 from __future__ import annotations
@@ -126,105 +124,77 @@ def lift_shape_operator(data: LiftedShapeData) -> tuple[np.ndarray, np.ndarray]:
     return M, np.diag(signs)
 
 
-def _reflect(seg: np.ndarray):
-    """(sigma, H): the Householder reflection H that maps seg to sigma e_1,
-    or H None where seg has no weight beyond its first entry and the
-    reflection is the identity."""
-    if not seg[1:].any():
-        return float(seg[0]), None
-    sigma = -np.copysign(np.linalg.norm(seg), seg[0])
-    v = seg.copy()
-    v[0] -= sigma
-    return float(sigma), np.eye(len(seg)) - (2.0 / (v @ v)) * np.outer(v, v)
-
-
-def _lift_residuals(data, small, cols, C, runs, free):
+def _lift_residuals(data, small, signs, cols, C, free):
     """residuals(M, signs) of the full bordered matrix M in the adapted basis
-    B of classify_lift, from their structure, without M, Q or any (2n x 2n)
+    B of classify_lift, from their structure, without M or any (2n x 2n)
     product.
 
-    B = Q E: Q is one reflection H per run (runs holds (value, start,
-    length, H), H None for the identity) and fixes the vertical field; E
-    puts the block's basis S on the first row of each run and on the
-    vertical row, then unit columns for the free columns.  Both residuals
-    are maxima over entries, and the canonical gram and matrix are the
-    identity and diagonal off the lead columns, which are S's; so the
-    columns may be taken as cols = Q E_S (with C, its block of the
-    canonical matrix), then, for each (j, value) in free, the free columns
-    F = H[:, 1:] of run j, whose eigenvalue ended at value.
-    - M B - B C: the arrowhead rows on cols; (d_j - value) F on run j's
-      rows and s0 b_run^T F on the vertical row for F (|d_j - value| for
-      an identity H, where b is zero beyond the run's first row).
-    - B^T G B - canonical gram, with Q^T G Q = diag(H^T H, ..., -1):
-      S^T diag(|H[:, 0]|^2, ..., -1) S - small.canonical_gram(), the cross
-      terms S[j] (H^T H)[0, 1:] and (H^T H)[1:, 1:] - I, which vanish for
-      an identity H.
+    B puts the block's basis S (Gram signs) on the kept rows and the
+    vertical row, then unit columns on the free rows.  Both residuals are
+    maxima over entries, and the canonical gram and matrix are the identity
+    and diagonal off the lead columns, which are S's; so the columns may be
+    taken as cols (with C, its block of the canonical matrix), then, for
+    each (rows, value) in free, the unit columns of a run's free rows,
+    whose eigenvalue ended at value.
+    - M B - B C: the arrowhead rows on cols, and |d_i - value| on each free
+      row, where b is zero.
+    - B^T G B - canonical gram: S^T diag(signs) S - small.canonical_gram();
+      the free columns are orthonormal, spacelike and off the rows of cols.
     """
     d, b = data.spectrum_down.expanded(), data.b
     s0 = np.sqrt(-data.c) / 2
     m = len(d)
     S = small.adapted_basis
     MB = np.vstack([d[:, None] * cols[:m] - s0 * b[:, None] * cols[m], s0 * (b @ cols[:m])])
-    shapes = [np.abs(MB - cols @ C).max()]
-    norms = [1.0 if H is None else H[:, 0] @ H[:, 0] for *_, H in runs] + [-1.0]
-    grams = [np.abs(S.T * norms @ S - small.canonical_gram()).max()]
-    for j, value in free:
-        d_j, s, L, H = runs[j]
-        if H is None:
-            shapes.append(abs(d_j - value))
-            continue
-        F, P = H[:, 1:], H.T @ H
-        shapes += [np.abs(d_j * F - F * value).max(), np.abs(s0 * (b[s:s + L] @ F)).max()]
-        grams += [np.abs(np.outer(S[j], P[0, 1:])).max(), np.abs(P[1:, 1:] - np.eye(L - 1)).max()]
+    shapes = [np.abs(MB - cols @ C).max()] + [np.abs(d[rows] - value).max() for rows, value in free]
     # np.max, not max: a NaN residual must survive to fail the guard
-    return float(np.max(grams)), float(np.max(shapes))
+    return float(np.abs(S.T * signs @ S - small.canonical_gram()).max()), float(np.max(shapes))
 
 
 def classify_lift(data: LiftedShapeData) -> JordanClassification:
-    """Classify the lifted shape operator on its deflated bordered block.
+    """Classify the lifted shape operator on its bordered block.
 
     A curvature of multiplicity L is a run of L equal diagonal entries of
-    the arrowhead, so a Householder reflection inside the run commutes
-    with the diagonal and maps b on the run to sigma e_1 (Golub, SIAM Rev.
-    15, 1973).  Its other L - 1 columns are exact eigenvectors of the
-    lift: spacelike, orthonormal, with the run's value.  classify_jordan
-    classifies the bordered block that stays coupled: one row per distinct
-    curvature plus the vertical field.  A row stays even where its sigma
-    is zero: the defective eigenvalue of a W-tube carries no weight, and
-    its exact copy anchors the split triple root of the block to type III.
+    the arrowhead, and a row of the run with no Hopf weight is an exact
+    eigenvector of the lift: spacelike, unit, with the run's value.
+    classify_jordan classifies the bordered block of the rows with weight,
+    the first weightless row of each run that has one (its anchor) and the
+    vertical field.  The anchor keeps the run's value an eigenvalue of the
+    block, so classify_jordan makes every merge of it: the defective
+    eigenvalue of a W-tube carries no weight, and its anchor holds the
+    split triple root of the block to type III.
 
-    The free columns of a run join the block eigenvalue nearest the run's
-    value, or form a clean eigenvalue of their own when none lies within
-    the last merge rung of classify_jordan; a joined eigenvalue is the
-    mean over all its copies.  The adapted basis keeps the canonical order
-    of classify_jordan (the leading block, then the timelike or defective
-    eigenvalue, then the rest ascending) and must reconstruct the full
-    bordered matrix within the guard of that last rung, or
-    NondiagnosableOperator is raised.  The guard's residuals are evaluated
-    from the structure of the matrix and the basis (_lift_residuals), in
-    O(n) work where no run is reflected; its bound, tolerance and scale are
+    The other weightless rows of a run are free columns that join the
+    block eigenvalue nearest the run's value, the anchor's; a joined
+    eigenvalue is the mean over all its copies.  The adapted basis keeps
+    the canonical order of classify_jordan (the leading block, then the
+    timelike or defective eigenvalue, then the rest ascending) and must
+    reconstruct the full bordered matrix within the guard of the last
+    merge rung of classify_jordan, or NondiagnosableOperator is raised.
+    The guard's residuals are evaluated from the structure of the matrix
+    and the basis (_lift_residuals); its bound, tolerance and scale are
     those of the dense check on the full matrix.
     """
-    entries = data.spectrum_down.entries
-    values = np.array([v for v, _, _ in entries])
-    lengths = [a for _, a, _ in entries]
-    starts = np.cumsum([0] + lengths[:-1])
-    m = sum(lengths)
+    lengths = [a for _, a, _ in data.spectrum_down.entries]
+    d = data.spectrum_down.expanded()
+    m = len(d)
     s0 = np.sqrt(-data.c) / 2
 
-    # deflate: one reflection per run, kept as its own block
-    sigmas, refls = zip(*[_reflect(data.b[s:s + L]) for s, L in zip(starts, lengths)])
-    runs = list(zip(values, starts, lengths, refls))
-    block, signs = _arrowhead(values, np.array(sigmas), s0)
+    # kept rows: each run's anchor, then its weighted rows
+    weighted = data.b != 0
+    kept, runs = [], []  # runs: (value, free rows) of each run that has some
+    for s, L in zip(np.cumsum([0] + lengths[:-1]), lengths):
+        light = s + np.flatnonzero(~weighted[s:s + L])
+        kept += [*light[:1], *s + np.flatnonzero(weighted[s:s + L])]
+        if len(light) > 1:
+            runs.append((d[s], light[1:]))
+    block, signs = _arrowhead(d[kept], data.b[kept], s0)
     small = classify_jordan(block, np.diag(signs))
 
-    # embed: the block's rows are the first column of each run's reflection
-    # and the vertical field; [value, alg, geo, column blocks] per eigenvalue
-    heads = np.zeros((m + 1, len(runs) + 1), order="F")
-    heads[list(starts) + [m], range(len(runs) + 1)] = 1.0
-    for j, (_, s, L, H) in enumerate(runs):
-        if H is not None:
-            heads[s:s + L, j] = H[:, 0]
+    # embed: the block's rows are the kept rows and the vertical field;
+    # [value, alg, geo, column blocks] per eigenvalue
+    heads = np.zeros((m + 1, len(kept) + 1), order="F")
+    heads[kept + [m], range(len(kept) + 1)] = 1.0
     lead = small.dim - len(small.diag)  # the canonical block's columns
     cols = heads @ small.adapted_basis
     diag = np.array(small.diag)
@@ -233,24 +203,16 @@ def classify_lift(data: LiftedShapeData) -> JordanClassification:
     first = small.diag[0] if small.jtype == "I" else small.defective_eig
     first = next((e for e in eigs if e[0] == first), None)
     centers = np.array([e[0] for e in eigs])
-    reach = JORDAN_TOL * (1.0 + np.abs(block).max())
-    free = []  # (entry, run) for the free columns of each run
-    for j, (value, s, L, H) in enumerate(runs):
-        if L == 1:
-            continue
-        F = np.zeros((m + 1, L - 1))
-        F[s:s + L] = np.eye(L)[:, 1:] if H is None else H[:, 1:]
-        near = int(np.argmin(np.abs(centers - value))) if centers.size else None
-        if near is None or abs(centers[near] - value) > reach:
-            e = [value, L - 1, L - 1, [F]]
-            eigs.append(e)
-        else:
-            e = eigs[near]
-            e[0] += (L - 1) * (value - e[0]) / (e[1] + L - 1)  # the mean over all copies
-            e[1] += L - 1
-            e[2] += L - 1
-            e[3].append(F)
-        free.append((e, j))
+    free = []  # (free rows, entry) of each run
+    for value, rows in runs:
+        e, k = eigs[int(np.argmin(np.abs(centers - value)))], len(rows)
+        e[0] += k * (value - e[0]) / (e[1] + k)  # the mean over all copies
+        e[1] += k
+        e[2] += k
+        F = np.zeros((m + 1, k))
+        F[rows, range(k)] = 1.0
+        e[3].append(F)
+        free.append((rows, e))
     cls = _assemble(small.jtype, cols[:, :lead], eigs, first, small.complex_pair, small.epsilon)
 
     # the guard of classify_jordan's last rung, on the full bordered matrix
@@ -259,8 +221,8 @@ def classify_lift(data: LiftedShapeData) -> JordanClassification:
     moved = {v: e[0] for e, (v, _, _) in zip(eigs, small.real_eigs)}
     C = np.diag([0.0] * lead + [moved[v] for v in small.diag])
     C[:lead, :lead] = cls.lead_block()
-    residuals = _lift_residuals(data, small, cols, C, runs, [(j, e[0]) for e, j in free])
-    scale = 1.0 + max(np.abs(values).max(), s0 * np.abs(data.b).max())
+    residuals = _lift_residuals(data, small, signs, cols, C, [(rows, e[0]) for rows, e in free])
+    scale = 1.0 + max(np.abs(d).max(), s0 * np.abs(data.b).max())
     _check_reconstruction(residuals, scale, JORDAN_TOL * scale, "deflated lift does not reconstruct")
     return cls
 

@@ -91,12 +91,10 @@ class JordanClassification:
 
     def residuals(self, A, gram) -> tuple[float, float]:
         """Max-norm reconstruction residuals of A and gram in adapted_basis B:
-        (|B^T gram B - canonical_gram()|, |A B - B canonical_matrix()|).
-        A diagonal gram may be given as its 1-D diagonal."""
+        (|B^T gram B - canonical_gram()|, |A B - B canonical_matrix()|)."""
         B = self.adapted_basis
-        BtG = B.T * gram if gram.ndim == 1 else B.T @ gram
         return (
-            float(np.abs(BtG @ B - self.canonical_gram()).max()),
+            float(np.abs(B.T @ gram @ B - self.canonical_gram()).max()),
             float(np.abs(A @ B - B @ self.canonical_matrix()).max()),
         )
 

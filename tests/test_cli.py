@@ -533,6 +533,26 @@ class TestDeterminismAndErrors:
         lift = ["lift", "--example", "horosphere", "--n", "3", "--tol", "1e-6"]
         assert run_cli(capsys, *lift)[0] == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["spectrum", "--example", "horosphere", "--n", "3"], "--seed=1"),
+            (["classify", "--example", "horosphere", "--n", "3"], "--seed=1"),
+            (["moduli", "--n", "4", "--k", "3"], "--seed=1"),
+            (["moduli", "--n", "4", "--k", "3"], "--curvature=-1"),
+        ],
+        ids=lambda arg: arg[0] if isinstance(arg, list) else arg.split("=")[0],
+    )
+    def test_seed_and_curvature_only_where_read(self, capsys, argv, flag):
+        # --seed is read by lift, verify and horocycle, --curvature by all
+        # but moduli; elsewhere either is a usage error
+        assert run_cli(capsys, *argv)[0] == EXIT_OK
+        code, out = run_cli(capsys, *argv, flag)
+        assert code == EXIT_USAGE
+        validate("error", json.loads(out))
+        lift = ["lift", "--example", "lohnherr", "--n", "3", "--radius", "0.5", "--seed", "1"]
+        assert run_cli(capsys, *lift)[0] == EXIT_OK
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "abc"])
     @pytest.mark.parametrize(
         "argv",

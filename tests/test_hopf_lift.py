@@ -281,9 +281,9 @@ def test_each_cluster_center_factored_once(monkeypatch):
 
 def spread_b_lift(n, seed):
     """Lift data with 2n - 1 rows whose Hopf weight b spreads inside runs of
-    equal curvatures, so classify_lift reflects: runs of 1-4 rows at values
-    uniform on (-3, 3), and a Gaussian b with each entry zeroed with
-    probability 0.3 (b = e_1 if all are)."""
+    equal curvatures, so classify_lift keeps several rows of a run: runs of
+    1-4 rows at values uniform on (-3, 3), and a Gaussian b with each entry
+    zeroed with probability 0.3 (b = e_1 if all are)."""
     rng = np.random.default_rng(seed)
     runs = []
     while sum(runs) < 2 * n - 1:
@@ -298,28 +298,24 @@ def spread_b_lift(n, seed):
 
 def split_b_lift(eps):
     """Curvatures 0 and 1 (twice), b = (sqrt(1 - eps^2), eps/sqrt(2),
-    eps/sqrt(2)): the run at 1 keeps weight eps, so the block has an
-    eigenvalue about eps^2 / 2 below 1, and the run's free column is an
-    exact eigenvector at 1."""
+    eps/sqrt(2)): the run at 1 keeps weight eps, so the full matrix has an
+    eigenvalue about eps^2 / 2 below 1, next to the exact eigenvector
+    (0, 1, -1)/sqrt(2) at 1."""
     b = np.array([np.sqrt(1 - eps**2), eps / np.sqrt(2), eps / np.sqrt(2)])
     return LiftedShapeData(TubeSpectrum(((0.0, 1, 1), (1.0, 2, 2))), b, C)
 
 
 def lift_cases(n, r):
     """(family, lift data) for the three Hopf families and, from n = 3 on, a
-    W-tube with dim w_perp = n at a normal of intermediate angle.  Up to
-    n = 10, a seeded spread-b lift too (the same draws at n = 30 and 100 hit
-    the defect of test_free_column_joins_within_first_rung three times in
-    four), and at n = 2 the split of the run at 1 that forms its own
-    eigenvalue."""
+    W-tube with dim w_perp = n at a normal of intermediate angle; a seeded
+    spread-b lift; and at n = 2 the split of the run at 1."""
     cases = [
         (family, hopf_lift_data(standard_spectrum(family, n, r=r, c=C, k=n // 2), C))
         for family in ("tube-chk", "horosphere", "tube-rhn")
     ]
     if n >= 3:
         cases.append(("w-tube", w_tube_lift(n, r, n, seed=n)))
-    if n <= 10:
-        cases.append(("spread-b", spread_b_lift(n, [n, round(100 * r)])))
+    cases.append(("spread-b", spread_b_lift(n, [n, round(100 * r)])))
     if n == 2:
         cases.append(("split-b", split_b_lift(0.1)))
     return cases
@@ -352,18 +348,11 @@ def test_deflated_lift_matches_full_classification(n):
             assert_matches_full_classification(family, r, data)
 
 
-FREE_COLUMN_REACH = (
-    "a free column joins the nearest block eigenvalue within JORDAN_TOL (1 + max|block|), "
-    "the last ladder rung, while the full matrix is decided at the first rung; the "
-    "full-matrix guard passes the merged answer (FOUND in CHANGES.md)"
-)
-
-
-@pytest.mark.xfail(strict=True, reason=FREE_COLUMN_REACH)
 @pytest.mark.parametrize("eps", [0.01, 0.001])
 def test_free_column_joins_within_first_rung(eps):
-    # the block eigenvalue sits eps^2 / 2 below the free column's 1.0:
-    # 5e-5 at eps = 0.01, 250 times the first rung, but inside the reach
+    # the full matrix has an eigenvalue eps^2 / 2 below the exact one at 1.0:
+    # 5e-5 at eps = 0.01, 250 times the first rung but inside the last, so
+    # the lift must not merge them where the full classification does not
     assert_matches_full_classification("split-b", eps, split_b_lift(eps))
 
 
@@ -423,11 +412,26 @@ def test_lift_forms_no_full_size_residual(monkeypatch):
         classify_lift(data)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 10, 30, 100])
+def test_block_has_one_row_per_curvature(monkeypatch, n):
+    # at these radii the Hopf families and the W-tube put Hopf weight only
+    # on simple curvatures, so the dense classification sees one row per
+    # distinct curvature plus the vertical field, whatever n
+    sizes = []
+    classify = hopf_lift.classify_jordan
+    monkeypatch.setattr(hopf_lift, "classify_jordan", lambda A, G: sizes.append(len(A)) or classify(A, G))
+    for r in ([0.05, 0.7, 2.5] if n <= 30 else [0.7]):
+        for family, data in lift_cases(n, r):
+            if family in ("tube-chk", "horosphere", "tube-rhn", "w-tube"):
+                classify_lift(data)
+                assert sizes[-1] == len(data.spectrum_down.entries) + 1, (family, r)
+
+
 @pytest.mark.parametrize("r", [0.3, 0.7, 1.5])
 def test_zero_weight_eigenvalue_keeps_its_row(r):
     # for n = 2, k = 1 the W-tube curvature lambda = s0 tanh(s0 r) carries
-    # no Hopf weight; the deflated block must keep its row, whose exact
-    # copy of lambda holds the split triple root of the lift to type III
+    # no Hopf weight; the block must keep its row, whose exact copy of
+    # lambda holds the split triple root of the lift to type III
     W = build_w(random_subspace(1, 1, seed=0), 2, C)
     v = W.w_perp_basis[0]
     data = tube_lift_data(TubeSpec(W, r), ANVector(0.0, v[0::2] + 1j * v[1::2], 0.0, C))
