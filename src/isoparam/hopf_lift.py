@@ -20,14 +20,16 @@ minimal submanifolds.
 
 The bordered matrix is an arrowhead, and classify_lift never factors it
 whole.  A row with no Hopf weight is an exact spacelike eigenvector, so
-only the rows with weight, one weightless anchor per run of equal
-curvatures and the vertical field go through the dense Jordan
-classification; for Hopf data b has one entry, so that block has one row
-per distinct curvature and the type is decided by a 2 x 2 block (Magid).
-The answer must still reconstruct the full bordered matrix within the
-bound of classify_jordan's last rung; that guard is evaluated from the
-same structure (the diagonal and border and the block's basis), never
-through a dense (2n x 2n) product.
+the block it classifies keeps only the rows with weight, one weightless
+anchor per run of equal curvatures and the vertical field.  For Hopf data
+b has one entry, so that block has one row per distinct curvature and its
+type is fixed by one 2 x 2 block (Magid), which is classified in closed
+form wherever no rung of classify_jordan's ladder could decide otherwise;
+every other block goes through classify_jordan.  The answer must still
+reconstruct the full bordered matrix within the bound of classify_jordan's
+last rung; that guard is evaluated from the same structure (the diagonal
+and border and the block's basis), never through a dense (2n x 2n)
+product.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ from .errors import (
     check_curvature,
 )
 from .indefinite_linalg import (
-    JORDAN_TOL, JordanClassification, _assemble, _check_reconstruction, classify_jordan,
+    JORDAN_TOL, RANK_TOL, JordanClassification, _assemble, _check_reconstruction, _pair_basis,
+    classify_jordan, cluster,
 )
 from .tube_geometry import TubeSpectrum, _tube_block, spectrum_from_values
 
@@ -151,6 +154,82 @@ def _lift_residuals(data, small, signs, cols, C, free):
     return float(np.abs(S.T * signs @ S - small.canonical_gram()).max()), float(np.max(shapes))
 
 
+def _hopf_block(values, h, beta):
+    """classify_jordan of the bordered block with diagonal values whose
+    border is beta on row h and zero elsewhere, in closed form; None where
+    a rung of its ladder could decide otherwise.
+
+    The other rows are exact spacelike eigenvectors, the anchors.  Row h and
+    the vertical field couple through [[lam_H, -beta], [beta, 0]] with Gram
+    diag(1, -1) (Magid), whose characteristic polynomial x^2 - lam_H x
+    + beta^2 has discriminant disc = (lam_H - 2 beta)(lam_H + 2 beta).
+    Where disc > 0 the roots x carry the eigenvectors (x, beta) on (h,
+    vertical), timelike for the smaller |x| (type I); where disc < 0 they
+    are the pair lam_H/2 +- i sqrt(-disc)/2 (type IV); at 0 the double root
+    lam_H/2 carries a semi-null pair with epsilon = sign(lam_H) (type II).
+
+    With scale = 1 + max|block|, the closed form answers only where the
+    root split sqrt|disc| and each gap between the sorted candidates (the
+    anchor values and the real roots) is at most RANK_TOL scale, merged to
+    the mean of its copies, or above JORDAN_TOL scale, kept apart; a merged
+    run spans at most RANK_TOL scale, a double root keeps one eigenvector
+    only where |beta| is above JORDAN_TOL scale, and 4 scale^2 is finite.
+    """
+    m = len(values)
+    lam_h, beta = float(values[h]), float(beta)  # floats: an overflow is inf, not a warning
+    scale = 1.0 + max(float(np.abs(values).max()), abs(beta))
+    merge, apart = RANK_TOL * scale, JORDAN_TOL * scale
+    disc = (lam_h - 2 * beta) * (lam_h + 2 * beta)
+    split = abs(disc) ** 0.5
+    double = split <= merge
+    # 4 scale^2 bounds every square and product formed below
+    if not 4 * scale * scale < np.inf or merge < split <= apart or double and not abs(beta) > apart:
+        return None
+    # candidates (value, alg, geo, columns): the roots, then the anchors
+    cands, lead, pair, epsilon = [], np.zeros((m + 1, 0)), None, None
+    if double:  # the root lam and the chain u, v with N u = epsilon v
+        lam = lam_h / 2
+        epsilon = 1 if lam > 0 else -1
+        root = abs(lam) ** 0.5
+        lead = np.zeros((m + 1, 2))
+        lead[[h, m], 0] = 0.5 / root, -beta / (2 * lam * root)
+        lead[[h, m], 1] = root, epsilon * beta / root
+        cands.append((lam, 2, 1, lead[:, :0]))
+    elif disc < 0:
+        pair = (lam_h / 2, split / 2)
+        x, y = np.zeros(m + 1), np.zeros(m + 1)
+        x[[h, m]] = pair[0], beta
+        y[h] = pair[1]
+        lead = _pair_basis(x, y, np.diag([1.0] * m + [-1.0]))
+    else:  # the timelike root beta^2 / big first; |x^2 - beta^2| = |x| sqrt(disc)
+        big = (lam_h + (split if lam_h > 0 else -split)) / 2
+        for x in (beta * beta / big, big):
+            if not abs(x) * split > 0:
+                return None
+            v = np.zeros((m + 1, 1))
+            v[[h, m], 0] = x, beta
+            cands.append((x, 1, 1, v / (abs(x) * split) ** 0.5))
+    key = cands[0] if cands else None  # the timelike or defective root
+    eye = np.eye(m + 1)
+    cands += [(values[j], 1, 1, eye[:, j:j + 1]) for j in range(m) if j != h]
+
+    order = np.argsort([c[0] for c in cands], kind="stable")
+    vals = np.array([cands[i][0] for i in order])
+    runs, gaps = cluster(vals, merge), np.diff(vals)
+    if ((gaps > merge) & (gaps <= apart)).any() or any(vals[s][-1] - vals[s][0] > merge for s in runs):
+        return None
+    entries, first = [], None
+    for s in runs:
+        members = [cands[i] for i in sorted(order[s])]  # roots before anchors
+        alg = sum(c[1] for c in members)
+        value = sum(c[0] * c[1] for c in members) / alg  # the mean over all copies
+        entries.append([value, alg, sum(c[2] for c in members), [c[3] for c in members]])
+        if any(c is key for c in members):
+            first = entries[-1]
+    jtype = "II" if epsilon else "IV" if pair else "I"
+    return _assemble(jtype, lead, entries, first, pair, epsilon)
+
+
 def classify_lift(data: LiftedShapeData) -> JordanClassification:
     """Classify the lifted shape operator on its bordered block.
 
@@ -162,7 +241,11 @@ def classify_lift(data: LiftedShapeData) -> JordanClassification:
     vertical field.  The anchor keeps the run's value an eigenvalue of the
     block, so classify_jordan makes every merge of it: the defective
     eigenvalue of a W-tube carries no weight, and its anchor holds the
-    split triple root of the block to type III.
+    split triple root of the block to type III.  Where b has one nonzero
+    entry, on a run of its own (Hopf data), _hopf_block classifies the
+    block in closed form instead, unless a gap that decides it lies
+    between RANK_TOL and JORDAN_TOL times the block's scale, where a rung
+    of classify_jordan's ladder could decide otherwise.
 
     The other weightless rows of a run are free columns that join the
     block eigenvalue nearest the run's value, the anchor's; a joined
@@ -189,7 +272,12 @@ def classify_lift(data: LiftedShapeData) -> JordanClassification:
         if len(light) > 1:
             runs.append((d[s], light[1:]))
     block, signs = _arrowhead(d[kept], data.b[kept], s0)
-    small = classify_jordan(block, np.diag(signs))
+    small = None
+    if weighted.sum() == 1 and len(kept) == len(lengths):  # Hopf data: one row per run
+        h = int(np.flatnonzero(data.b[kept])[0])
+        small = _hopf_block(d[kept], h, s0 * data.b[kept][h])
+    if small is None:
+        small = classify_jordan(block, np.diag(signs))
 
     # embed: the block's rows are the kept rows and the vertical field;
     # [value, alg, geo, column blocks] per eigenvalue

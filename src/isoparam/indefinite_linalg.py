@@ -323,19 +323,7 @@ def _adapted_basis(A, G, eig, jtype, eigs, complex_pair, kernels):
         a, b = complex_pair
         w, vecs = eig
         z = vecs[:, int(np.argmin(np.abs(w - (a + 1j * b))))]
-        x, y = z.real.copy(), z.imag.copy()
-        # rotate z -> e^{i theta} z to make <x, y> = 0 with <x, x> > 0;
-        # self-adjointness forces <y, y> = -<x, x>
-        gxx = float(x @ G @ x)
-        gxy = float(x @ G @ y)
-        theta = 0.5 * np.arctan2(-gxy, gxx)
-        xr = np.cos(theta) * x - np.sin(theta) * y
-        yr = np.sin(theta) * x + np.cos(theta) * y
-        sq = float(xr @ G @ xr)
-        if sq <= 0:
-            raise NondiagnosableOperator("complex block carries no spacelike direction")
-        norm = np.sqrt(sq)
-        lead = np.column_stack([yr / norm, xr / norm])
+        lead = _pair_basis(z.real.copy(), z.imag.copy(), G)
     elif jtype in ("II", "III"):
         (lam, alg, geo), = [(v, a, g) for v, a, g in eigs if a != g]
         lead, rest, epsilon = _jordan_chain(A, G, jtype, lam, alg, geo, kernels[lam])
@@ -355,6 +343,22 @@ def _adapted_basis(A, G, eig, jtype, eigs, complex_pair, kernels):
     if jtype == "I" and first is None:
         raise NondiagnosableOperator("no timelike eigendirection found for type I")
     return lead, blocks, first, epsilon
+
+
+def _pair_basis(x, y, G):
+    """The type IV lead columns from x + iy, an eigenvector of the pair's
+    a + ib: rotate it to e^{i theta} (x + iy), with <x, y> = 0 and
+    <x, x> > 0 (self-adjointness forces <y, y> = -<x, x>), and normalize."""
+    gxx = float(x @ G @ x)
+    gxy = float(x @ G @ y)
+    theta = 0.5 * np.arctan2(-gxy, gxx)
+    xr = np.cos(theta) * x - np.sin(theta) * y
+    yr = np.sin(theta) * x + np.cos(theta) * y
+    sq = float(xr @ G @ xr)
+    if sq <= 0:
+        raise NondiagnosableOperator("complex block carries no spacelike direction")
+    norm = np.sqrt(sq)
+    return np.column_stack([yr / norm, xr / norm])
 
 
 def _jordan_chain(A, G, jtype, lam, alg, geo, kernel):

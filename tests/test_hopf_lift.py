@@ -296,6 +296,18 @@ def spread_b_lift(n, seed):
     return LiftedShapeData(spectrum, b / np.linalg.norm(b), C)
 
 
+def seeded_hopf_lift(seed):
+    """Lift data of a Hopf family drawn from seed: tube-chk (any k),
+    tube-rhn or the horosphere, n = 2-10, c in {-4, -1, -16, -0.01} and
+    s0 r log-uniform on [0.05, 3]."""
+    rng = np.random.default_rng(seed)
+    family = ("tube-chk", "tube-rhn", "horosphere")[int(rng.integers(3))]
+    n = int(rng.integers(2, 11))
+    c = float(rng.choice([-4.0, -1.0, -16.0, -0.01]))
+    r = float(np.exp(rng.uniform(np.log(0.05), np.log(3.0)))) / (np.sqrt(-c) / 2)
+    return hopf_lift_data(standard_spectrum(family, n, r=r, c=c, k=int(rng.integers(0, n))), c)
+
+
 def split_b_lift(eps):
     """Curvatures 0 and 1 (twice), b = (sqrt(1 - eps^2), eps/sqrt(2),
     eps/sqrt(2)): the run at 1 keeps weight eps, so the full matrix has an
@@ -412,19 +424,30 @@ def test_lift_forms_no_full_size_residual(monkeypatch):
         classify_lift(data)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 10, 30, 100])
-def test_block_has_one_row_per_curvature(monkeypatch, n):
-    # at these radii the Hopf families and the W-tube put Hopf weight only
-    # on simple curvatures, so the dense classification sees one row per
-    # distinct curvature plus the vertical field, whatever n
+def dense_calls(monkeypatch):
+    """The sizes of the blocks that classify_lift hands to classify_jordan."""
     sizes = []
     classify = hopf_lift.classify_jordan
     monkeypatch.setattr(hopf_lift, "classify_jordan", lambda A, G: sizes.append(len(A)) or classify(A, G))
+    return sizes
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 10, 30, 100])
+def test_block_has_one_row_per_curvature(monkeypatch, n):
+    # at these radii the Hopf families and the W-tube put Hopf weight only
+    # on simple curvatures, so the block has one row per distinct curvature
+    # plus the vertical field, whatever n; the Hopf families classify it in
+    # closed form, and the W-tube through the dense classification
+    sizes = dense_calls(monkeypatch)
     for r in ([0.05, 0.7, 2.5] if n <= 30 else [0.7]):
         for family, data in lift_cases(n, r):
-            if family in ("tube-chk", "horosphere", "tube-rhn", "w-tube"):
+            sizes.clear()
+            if family in ("tube-chk", "horosphere", "tube-rhn"):
                 classify_lift(data)
-                assert sizes[-1] == len(data.spectrum_down.entries) + 1, (family, r)
+                assert sizes == [], (family, r)
+            elif family == "w-tube":
+                classify_lift(data)
+                assert sizes == [len(data.spectrum_down.entries) + 1], (family, r)
 
 
 @pytest.mark.parametrize("r", [0.3, 0.7, 1.5])
@@ -442,3 +465,43 @@ def test_zero_weight_eigenvalue_keeps_its_row(r):
     assert cls.jtype == "III"
     assert abs(cls.defective_eig - lam) < 1e-8
     assert [(a, g) for _, a, g in cls.real_eigs] == [(4, 2)]
+
+
+@pytest.mark.parametrize("family, n, k, r, error", [
+    # mu - lambda falls between RANK_TOL and JORDAN_TOL times the block scale
+    ("tube-rhn", 10, None, 8.297804099718359, NondiagnosableOperator),
+    ("tube-chk", 30, 2, 8.238976516464781, NondiagnosableOperator),
+    # the spectrum has merged the Hopf value into mu's run
+    ("tube-chk", 10, 0, 1.451223259259736e-06, ConstraintViolation),
+])
+def test_undecided_hopf_block_takes_the_ladder(monkeypatch, family, n, k, r, error):
+    # the closed form must not answer where a rung of classify_jordan's
+    # ladder could decide otherwise: these take the ladder and raise
+    sizes = dense_calls(monkeypatch)
+    data = hopf_lift_data(standard_spectrum(family, n, r=r, c=C, k=k), C)
+    with pytest.raises(error):
+        project_spectrum(classify_lift(data), C)
+    assert len(sizes) == 1
+
+
+@pytest.mark.parametrize("n", [3, 10])
+def test_hopf_row_in_a_shared_run_takes_the_ladder(monkeypatch, n):
+    # at tanh(s0 r) = 1/sqrt(3) the tube-rhn Hopf value equals mu, so the
+    # Hopf row shares mu's run: the lift JSON is the ladder's, byte for byte
+    import contextlib
+    import io
+
+    from isoparam.cli import run
+
+    def lift_json():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(["lift", "--example", "tube-rhn", "--n", str(n),
+                        "--radius", repr(float(np.arctanh(1 / np.sqrt(3))))]) == 0
+        return out.getvalue()
+
+    sizes = dense_calls(monkeypatch)
+    got = lift_json()
+    assert len(sizes) == 1
+    monkeypatch.setattr(hopf_lift, "_hopf_block", lambda *args: None)
+    assert got == lift_json()
