@@ -329,7 +329,10 @@ class ProfileFamily:
         return sum(1 for a, _ in self.entries if a is None)
 
     def at(self, *angles: float) -> KahlerProfile:
-        """The profile at specific values of the free parameters."""
+        """The profile at specific values of the free parameters, one angle
+        per free entry; any other count raises ValueError."""
+        if len(angles) != self.free_count:
+            raise ValueError(f"need {self.free_count} angles (free_count), got {len(angles)}")
         it = iter(angles)
         fixed = sorted((next(it) if a is None else a, m) for a, m in self.entries)
         values, mults = np.array(fixed, dtype=float).reshape(-1, 2).T

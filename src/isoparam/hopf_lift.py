@@ -18,18 +18,15 @@ subspaces, defect-one lifts are horospheres, complex-pair lifts are tubes
 around the real form, and defect-two lifts are tubes around the ruled
 minimal submanifolds.
 
-The bordered matrix is an arrowhead, and classify_lift never factors it
-whole.  A row with no Hopf weight is an exact spacelike eigenvector, so
-the block it classifies keeps only the rows with weight, one weightless
-anchor per run of equal curvatures and the vertical field.  For Hopf data
-b has one entry, so that block has one row per distinct curvature and its
-type is fixed by one 2 x 2 block (Magid), which is classified in closed
-form wherever no rung of classify_jordan's ladder could decide otherwise;
-every other block goes through classify_jordan.  The answer must still
-reconstruct the full bordered matrix within the bound of classify_jordan's
-last rung; that guard is evaluated from the same structure (the diagonal
-and border and the block's basis), never through a dense (2n x 2n)
-product.
+The bordered matrix is an arrowhead, and classify_lift classifies only
+its block: the rows with Hopf weight, one weightless anchor per run of
+equal curvatures and the vertical field.  Every other row is an exact
+spacelike unit eigenvector, so the full matrix reconstructs exactly when
+the block does, with the eigenvalues its runs joined; the guard of
+classify_jordan's last rung is checked on the block alone.  Hopf data has
+one weighted row, so its block has one row per distinct curvature and
+its type is fixed by one 2 x 2 block (Magid), classified in closed form
+wherever no rung of classify_jordan's ladder could decide otherwise.
 """
 
 from __future__ import annotations
@@ -127,37 +124,21 @@ def lift_shape_operator(data: LiftedShapeData) -> tuple[np.ndarray, np.ndarray]:
     return M, np.diag(signs)
 
 
-def _lift_residuals(data, small, signs, cols, C, free):
-    """residuals(M, signs) of the full bordered matrix M in the adapted basis
-    B of classify_lift, from their structure, without M or any (2n x 2n)
-    product.
-
-    B puts the block's basis S (Gram signs) on the kept rows and the
-    vertical row, then unit columns on the free rows.  Both residuals are
-    maxima over entries, and the canonical gram and matrix are the identity
-    and diagonal off the lead columns, which are S's; so the columns may be
-    taken as cols (with C, its block of the canonical matrix), then, for
-    each (rows, value) in free, the unit columns of a run's free rows,
-    whose eigenvalue ended at value.
-    - M B - B C: the arrowhead rows on cols, and |d_i - value| on each free
-      row, where b is zero.
-    - B^T G B - canonical gram: S^T diag(signs) S - small.canonical_gram();
-      the free columns are orthonormal, spacelike and off the rows of cols.
-    """
-    d, b = data.spectrum_down.expanded(), data.b
-    s0 = np.sqrt(-data.c) / 2
-    m = len(d)
-    S = small.adapted_basis
-    MB = np.vstack([d[:, None] * cols[:m] - s0 * b[:, None] * cols[m], s0 * (b @ cols[:m])])
-    shapes = [np.abs(MB - cols @ C).max()] + [np.abs(d[rows] - value).max() for rows, value in free]
+def _lift_residuals(block, signs, joined, offsets):
+    """residuals(M, gram) of the full bordered matrix M in classify_lift's
+    basis, without M: on the block's rows the basis is joined's, which
+    carries the eigenvalues the block's took, and a free row's unit column
+    leaves only its offset, its run's value minus the eigenvalue joined."""
+    gram_err, shape_err = joined.residuals(block, np.diag(signs))
     # np.max, not max: a NaN residual must survive to fail the guard
-    return float(np.abs(S.T * signs @ S - small.canonical_gram()).max()), float(np.max(shapes))
+    return gram_err, float(np.max(np.abs([shape_err, *offsets])))
 
 
-def _hopf_block(values, h, beta):
-    """classify_jordan of the bordered block with diagonal values whose
-    border is beta on row h and zero elsewhere, in closed form; None where
-    a rung of its ladder could decide otherwise.
+def _hopf_block(block):
+    """classify_jordan of an arrowhead block from _arrowhead, in closed form;
+    None unless exactly one border entry, beta on row h, is nonzero and no
+    other row shares h's diagonal value, and None where a rung of the
+    ladder could decide otherwise.
 
     The other rows are exact spacelike eigenvectors, the anchors.  Row h and
     the vertical field couple through [[lam_H, -beta], [beta, 0]] with Gram
@@ -175,9 +156,13 @@ def _hopf_block(values, h, beta):
     run spans at most RANK_TOL scale, a double root keeps one eigenvector
     only where |beta| is above JORDAN_TOL scale, and 4 scale^2 is finite.
     """
-    m = len(values)
-    lam_h, beta = float(values[h]), float(beta)  # floats: an overflow is inf, not a warning
-    scale = 1.0 + max(float(np.abs(values).max()), abs(beta))
+    m = len(block) - 1
+    values, nonzero = np.diag(block)[:m], np.flatnonzero(block[m, :m])
+    if len(nonzero) != 1 or (values == values[nonzero[0]]).sum() > 1:
+        return None
+    h = int(nonzero[0])
+    lam_h, beta = float(values[h]), float(block[m, h])  # floats: an overflow is inf, not a warning
+    scale = 1.0 + float(np.abs(block).max())
     merge, apart = RANK_TOL * scale, JORDAN_TOL * scale
     disc = (lam_h - 2 * beta) * (lam_h + 2 * beta)
     split = abs(disc) ** 0.5
@@ -235,33 +220,28 @@ def classify_lift(data: LiftedShapeData) -> JordanClassification:
 
     A curvature of multiplicity L is a run of L equal diagonal entries of
     the arrowhead, and a row of the run with no Hopf weight is an exact
-    eigenvector of the lift: spacelike, unit, with the run's value.
-    classify_jordan classifies the bordered block of the rows with weight,
-    the first weightless row of each run that has one (its anchor) and the
-    vertical field.  The anchor keeps the run's value an eigenvalue of the
-    block, so classify_jordan makes every merge of it: the defective
-    eigenvalue of a W-tube carries no weight, and its anchor holds the
-    split triple root of the block to type III.  Where b has one nonzero
-    entry, on a run of its own (Hopf data), _hopf_block classifies the
-    block in closed form instead, unless a gap that decides it lies
-    between RANK_TOL and JORDAN_TOL times the block's scale, where a rung
-    of classify_jordan's ladder could decide otherwise.
+    eigenvector of the lift: spacelike, unit, with the run's value.  The
+    block keeps the rows with weight, the first weightless row of each run
+    that has one (its anchor) and the vertical field.  The anchor keeps the
+    run's value an eigenvalue of the block, so the block's classification
+    makes every merge of it: the defective eigenvalue of a W-tube carries
+    no weight, and its anchor holds the split triple root to type III.
+    _hopf_block classifies the block in closed form where it decides it,
+    and classify_jordan otherwise.
 
     The other weightless rows of a run are free columns that join the
     block eigenvalue nearest the run's value, the anchor's; a joined
     eigenvalue is the mean over all its copies.  The adapted basis keeps
     the canonical order of classify_jordan (the leading block, then the
-    timelike or defective eigenvalue, then the rest ascending) and must
-    reconstruct the full bordered matrix within the guard of the last
-    merge rung of classify_jordan, or NondiagnosableOperator is raised.
-    The guard's residuals are evaluated from the structure of the matrix
-    and the basis (_lift_residuals); its bound, tolerance and scale are
-    those of the dense check on the full matrix.
+    timelike or defective eigenvalue, then the rest ascending).  It must
+    reconstruct the full bordered matrix within the bound of the last
+    rung of classify_jordan, at scale 1 + max|block|, the full matrix's,
+    or NondiagnosableOperator is raised; _lift_residuals evaluates it on
+    the block.
     """
     lengths = [a for _, a, _ in data.spectrum_down.entries]
     d = data.spectrum_down.expanded()
     m = len(d)
-    s0 = np.sqrt(-data.c) / 2
 
     # kept rows: each run's anchor, then its weighted rows
     weighted = data.b != 0
@@ -271,27 +251,21 @@ def classify_lift(data: LiftedShapeData) -> JordanClassification:
         kept += [*light[:1], *s + np.flatnonzero(weighted[s:s + L])]
         if len(light) > 1:
             runs.append((d[s], light[1:]))
-    block, signs = _arrowhead(d[kept], data.b[kept], s0)
-    small = None
-    if weighted.sum() == 1 and len(kept) == len(lengths):  # Hopf data: one row per run
-        h = int(np.flatnonzero(data.b[kept])[0])
-        small = _hopf_block(d[kept], h, s0 * data.b[kept][h])
-    if small is None:
-        small = classify_jordan(block, np.diag(signs))
+    block, signs = _arrowhead(d[kept], data.b[kept], np.sqrt(-data.c) / 2)
+    small = _hopf_block(block) or classify_jordan(block, np.diag(signs))
 
     # embed: the block's rows are the kept rows and the vertical field;
     # [value, alg, geo, column blocks] per eigenvalue
-    heads = np.zeros((m + 1, len(kept) + 1), order="F")
-    heads[kept + [m], range(len(kept) + 1)] = 1.0
     lead = small.dim - len(small.diag)  # the canonical block's columns
-    cols = heads @ small.adapted_basis
+    cols = np.zeros((m + 1, small.dim))
+    cols[kept + [m]] = small.adapted_basis
     diag = np.array(small.diag)
     eigs = [[v, a, g, [cols[:, lead:][:, diag == v]]] for v, a, g in small.real_eigs]
     # the timelike (I) or defective (II, III) eigenvalue comes first; IV has none
     first = small.diag[0] if small.jtype == "I" else small.defective_eig
     first = next((e for e in eigs if e[0] == first), None)
     centers = np.array([e[0] for e in eigs])
-    free = []  # (free rows, entry) of each run
+    joins = []  # (value, entry) of each run
     for value, rows in runs:
         e, k = eigs[int(np.argmin(np.abs(centers - value)))], len(rows)
         e[0] += k * (value - e[0]) / (e[1] + k)  # the mean over all copies
@@ -300,17 +274,18 @@ def classify_lift(data: LiftedShapeData) -> JordanClassification:
         F = np.zeros((m + 1, k))
         F[rows, range(k)] = 1.0
         e[3].append(F)
-        free.append((rows, e))
+        joins.append((value, e))
     cls = _assemble(small.jtype, cols[:, :lead], eigs, first, small.complex_pair, small.epsilon)
 
-    # the guard of classify_jordan's last rung, on the full bordered matrix
-    # M, whose largest entry is max(max|d|, s0 max|b|); C is canonical_matrix()
-    # on cols, with the values that the block's eigenvalues took
+    # the guard of classify_jordan's last rung on the full bordered matrix,
+    # whose largest entry is in block; joined is small with the values that
+    # the block's eigenvalues took
     moved = {v: e[0] for e, (v, _, _) in zip(eigs, small.real_eigs)}
-    C = np.diag([0.0] * lead + [moved[v] for v in small.diag])
-    C[:lead, :lead] = cls.lead_block()
-    residuals = _lift_residuals(data, small, signs, cols, C, [(rows, e[0]) for rows, e in free])
-    scale = 1.0 + max(np.abs(d).max(), s0 * np.abs(data.b).max())
+    joined = JordanClassification(
+        small.jtype, tuple((moved[v], a, g) for v, a, g in small.real_eigs), small.complex_pair,
+        small.epsilon, small.adapted_basis, tuple(moved[v] for v in small.diag), small.dim)
+    residuals = _lift_residuals(block, signs, joined, [value - e[0] for value, e in joins])
+    scale = 1.0 + np.abs(block).max()
     _check_reconstruction(residuals, scale, JORDAN_TOL * scale, "deflated lift does not reconstruct")
     return cls
 

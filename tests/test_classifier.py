@@ -263,6 +263,18 @@ class TestEnumerateProfiles:
                     got, _, _ = kahler_profile(W)
                     assert got.matches(profile, angle_tol=1e-9)
 
+    @pytest.mark.parametrize("angles", [(), (0.5, 0.7)])
+    def test_at_rejects_wrong_angle_count(self, angles):
+        # (None, 2), (pi/2, 1): one free angle
+        fam = enumerate_profiles(4, 3)[0]
+        assert fam.free_count == 1
+        with pytest.raises(ValueError, match="free_count"):
+            fam.at(*angles)
+
+    def test_at_takes_free_count_angles(self):
+        fam = enumerate_profiles(4, 3)[0]
+        assert sorted(fam.at(0.5).entries) == [(0.5, 2), (PI2, 1)]
+
     def test_random_subspaces_land_in_some_family(self):
         from isoparam.classifier import _specializes
 

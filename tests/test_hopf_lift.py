@@ -505,3 +505,51 @@ def test_hopf_row_in_a_shared_run_takes_the_ladder(monkeypatch, n):
     assert len(sizes) == 1
     monkeypatch.setattr(hopf_lift, "_hopf_block", lambda *args: None)
     assert got == lift_json()
+
+
+@pytest.mark.parametrize("values, border", [
+    ([0.5, 2.0, 2.5], [0.0, 0.6, 0.8]),  # two nonzero border entries
+    ([0.5, 2.0, 2.5], [0.0, 0.0, 0.0]),  # no nonzero border entry
+    ([0.5, 2.5, 2.5], [0.0, 0.0, 1.0]),  # the Hopf row shares 2.5 with an anchor
+])
+def test_hopf_block_declines_non_hopf_blocks(values, border):
+    block, signs = hopf_lift._arrowhead(np.array(values), np.array(border), 1.0)
+    assert hopf_lift._hopf_block(block) is None
+
+
+def test_hopf_block_decides_a_hopf_block():
+    # the tube-chk block at tanh(r) = 1/2 (c = -4): the roots of the Hopf
+    # row, 2 and 1/2, merge into the anchors
+    block, signs = hopf_lift._arrowhead(np.array([0.5, 2.0, 2.5]), np.array([0.0, 0.0, 1.0]), 1.0)
+    got, want = hopf_lift._hopf_block(block), classify_jordan(block, np.diag(signs))
+    assert got.jtype == want.jtype == "I"
+    assert [(a, g) for _, a, g in got.real_eigs] == [(a, g) for _, a, g in want.real_eigs] == [(2, 2), (2, 2)]
+
+
+def test_curvature_is_a_homothety():
+    # at c = -4 s0^2 every curvature of a Hopf family at radius r / s0 is
+    # s0 times its value at c = -4 and radius r, and so is every
+    # eigenvalue of the lift; 1,000 seeded draws of each family, any n, k
+    def rel(u, v):
+        return abs(u - v) / abs(v)
+
+    for seed in range(1000):
+        rng = np.random.default_rng([24, seed])
+        family = ("tube-chk", "tube-rhn", "horosphere")[int(rng.integers(3))]
+        n = int(rng.integers(2, 11))
+        c = float(rng.choice([-1e-6, -1e-2, -1.0, -16.0, -1e2, -1e4]))
+        r = float(np.exp(rng.uniform(np.log(0.05), np.log(3.0))))
+        k, s0 = int(rng.integers(0, n)), np.sqrt(-c) / 2
+        got, want = (standard_spectrum(family, n, r=r / s0, c=c, k=k),
+                     standard_spectrum(family, n, r=r, c=C, k=k))
+        case = (family, n, c, r, k)
+        assert [e[1:] for e in got.entries] == [e[1:] for e in want.entries], case
+        for u, v in [*zip(got.values, want.values), (got.hopf_value, want.hopf_value)]:
+            assert rel(u, s0 * v) <= 1e-15, case
+        got, want = classify_lift(hopf_lift_data(got, c)), classify_lift(hopf_lift_data(want, C))
+        assert (got.jtype, got.epsilon) == (want.jtype, want.epsilon), case
+        assert [e[1:] for e in got.real_eigs] == [e[1:] for e in want.real_eigs], case
+        assert (got.complex_pair is None) == (want.complex_pair is None), case
+        pairs = [*zip(got.complex_pair or (), want.complex_pair or ())]
+        for u, v in pairs + [(u, v) for (u, _, _), (v, _, _) in zip(got.real_eigs, want.real_eigs)]:
+            assert rel(u, s0 * v) <= 1e-10, case
