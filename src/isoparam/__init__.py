@@ -83,6 +83,7 @@ from .tube_geometry import (
     normal_kahler_angle,
     numeric_shape_operator,
     parallel_data,
+    spectrum_from_pairs,
     spectrum_from_values,
     standard_spectrum,
     tube_char_poly,

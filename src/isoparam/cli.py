@@ -74,8 +74,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="isoparam", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, curvature=True, tol=False, seed=True):
-        # each flag only where the command reads it
+    def common(p, output="json", curvature=True, tol=False, seed=True):
+        # each flag only where the command reads it; the default output is a
+        # human-readable table for enumerative output, a JSON record otherwise
         if curvature:
             p.add_argument("--curvature", type=float, default=-4.0, help="ambient curvature c < 0")
         if tol:
@@ -84,25 +85,21 @@ def _build_parser() -> _Parser:
             p.add_argument("--tol", type=_tol, default=default, help="numeric tolerance > 0")
         if seed:
             p.add_argument("--seed", type=_seed, default=0)
-        p.add_argument("--output", choices=("json", "csv", "table"), default=None)
+        p.add_argument("--output", choices=("json", "csv", "table"), default=output)
 
-    p = sub.add_parser("spectrum", help="principal curvatures of an example or a W_w tube")
-    common(p, seed=False)
-    p.add_argument("--example", choices=EXAMPLES)
-    p.add_argument("--subspace", help="JSON file with the defining subspace w")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--angle", type=float, default=None, help="Kahler angle of the normal direction")
-
-    p = sub.add_parser("classify", help="classify an isoparametric family into cases i-vi")
-    common(p, seed=False)
-    p.add_argument("--example", choices=EXAMPLES)
-    p.add_argument("--subspace")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--angle", type=float, default=None)
+    # spectrum and classify read the same example or subspace and tube
+    for name, output, text in (
+        ("spectrum", "table", "principal curvatures of an example or a W_w tube"),
+        ("classify", "json", "classify an isoparametric family into cases i-vi"),
+    ):
+        p = sub.add_parser(name, help=text)
+        common(p, output, seed=False)
+        p.add_argument("--example", choices=EXAMPLES)
+        p.add_argument("--subspace", help="JSON file with the defining subspace w")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--k", type=int, default=None)
+        p.add_argument("--radius", type=float, default=None)
+        p.add_argument("--angle", type=float, default=None, help="Kahler angle of the normal direction")
 
     p = sub.add_parser("lift", help="Lorentzian lift: Jordan type and constraint residuals")
     common(p, tol=True)
@@ -112,12 +109,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--radius", type=float, default=None)
 
     p = sub.add_parser("moduli", help="admissible Kahler-angle profiles for given (n, k)")
-    common(p, curvature=False, seed=False)
+    common(p, "table", curvature=False, seed=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
 
     p = sub.add_parser("verify", help="run the randomized verification suites")
-    common(p)
+    common(p, "table")
     p.add_argument(
         "--suite",
         default="all",
@@ -399,6 +396,7 @@ def _emit(command: str, record: dict, output: str):
         sys.stdout.write(_render_table(command, record))
 
 
+# each command's function; _build_parser declares its flags and default output
 _COMMANDS = {
     "spectrum": _cmd_spectrum,
     "classify": _cmd_classify,
@@ -406,16 +404,6 @@ _COMMANDS = {
     "moduli": _cmd_moduli,
     "verify": _cmd_verify,
     "horocycle": _cmd_horocycle,
-}
-
-# human-readable tables for enumerative output, JSON records otherwise
-_DEFAULT_OUTPUT = {
-    "spectrum": "table",
-    "verify": "table",
-    "moduli": "table",
-    "classify": "json",
-    "lift": "json",
-    "horocycle": "json",
 }
 
 
@@ -440,7 +428,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         return _error("file_not_found", str(exc), EXIT_NOINPUT)
     except (IsoparamError, ValueError, KeyError, json.JSONDecodeError) as exc:
         return _error(type(exc).__name__, str(exc), EXIT_VALIDATION)
-    _emit(args.command, record, args.output or _DEFAULT_OUTPUT[args.command])
+    _emit(args.command, record, args.output)
     if args.command == "verify" and not record["ok"]:
         return EXIT_VALIDATION
     return EXIT_OK

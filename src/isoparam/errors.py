@@ -44,8 +44,9 @@ class InvalidCodimension(IsoparamError):
 
 
 class FocalRadius(IsoparamError):
-    """A tube radius that is not finite and positive, or at which the tube
-    degenerates to the focal submanifold."""
+    """A tube radius that is not finite and positive, at which the tube
+    degenerates to the focal submanifold, or at which its data overflow or
+    its evolved shape operator is no longer symmetric within 1e-8."""
 
 
 class InvalidK(IsoparamError):

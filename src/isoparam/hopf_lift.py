@@ -44,7 +44,7 @@ from .indefinite_linalg import (
     JORDAN_TOL, RANK_TOL, JordanClassification, _assemble, _check_reconstruction, _pair_basis,
     classify_jordan, cluster,
 )
-from .tube_geometry import TubeSpectrum, _tube_block, spectrum_from_values
+from .tube_geometry import TubeSpectrum, _tube_block, spectrum_from_pairs
 
 
 @dataclass(frozen=True)
@@ -92,11 +92,12 @@ def tube_lift_data(spec, xi) -> LiftedShapeData:
     y^T (-u_V).
     """
     lam, mu, m_lam, m_mu, block, u = _tube_block(spec, xi)
-    evals, evecs = np.linalg.eigh(0.5 * (block + block.T))
-    values = np.concatenate([np.full(m_lam, lam), np.full(m_mu, mu), evals])
-    b = np.concatenate([np.zeros(m_lam + m_mu), evecs.T @ (-u)])
-    order = np.argsort(values, kind="stable")
-    return LiftedShapeData(spectrum_from_values(values), b[order], spec.c)
+    evals, evecs = np.linalg.eigh(0.5 * (block + block.T))  # ascending
+    b = np.zeros(m_lam + m_mu + len(evals))
+    # a block row follows the bulk rows whose values are at most its own
+    b[np.arange(len(evals)) + m_lam * (lam <= evals) + m_mu * (mu <= evals)] = evecs.T @ (-u)
+    pairs = [(lam, m_lam), (mu, m_mu), *((e, 1) for e in evals)]
+    return LiftedShapeData(spectrum_from_pairs(pairs), b, spec.c)
 
 
 def _arrowhead(values, border, s0):
@@ -335,18 +336,9 @@ def project_spectrum(cls: JordanClassification, c: float) -> TubeSpectrum:
         lam = cls.defective_eig
         if abs(lam) >= s0:
             raise ConstraintViolation("defect-two lifts require |lambda| < sqrt(-c)/2")
-        raw = []
-        for v, m, _ in cls.real_eigs:
-            if v == lam:
-                if m - 3 > 0:
-                    raw.append((v, m - 3))
-            elif m - 1 > 0:
-                raw.append((v, m - 1))
+        raw = [(v, m - (3 if v == lam else 1)) for v, m, _ in cls.real_eigs]
         known = sum(m for _, m in raw)
-        values = [v for v, m in raw for _ in range(m)]
-        return spectrum_from_values(values, unresolved_dims=dim_down - known, family="w-tube")
+        return spectrum_from_pairs(raw, unresolved_dims=dim_down - known, family="w-tube")
     else:
         raise ConstraintViolation(f"unknown type {cls.jtype!r}")
-
-    values = [v for v, m in raw if m > 0 for _ in range(m)]
-    return spectrum_from_values(values, hopf_value=float(hopf))
+    return spectrum_from_pairs(raw, hopf_value=float(hopf))

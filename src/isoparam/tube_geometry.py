@@ -102,23 +102,36 @@ class TubeSpectrum:
         )
 
 
-def _merged_entries(values: np.ndarray, mults: np.ndarray):
-    """TubeSpectrum entries of ascending values with multiplicities.
+def spectrum_from_pairs(pairs, **kw) -> TubeSpectrum:
+    """The TubeSpectrum of (value, multiplicity) pairs; kw go to TubeSpectrum.
 
-    Neighbours a, b name one curvature when
-    |a - b| <= CLUSTER_TOL (1 + max(|a|, |b|)); its value is the mean of its
-    run and its multiplicity their sum.
+    Pairs of multiplicity 0 are dropped and the rest sorted.  Neighbours a,
+    b name one curvature when |a - b| <= CLUSTER_TOL (1 + max(|a|, |b|)): its
+    multiplicity is the run's sum and its value the mean over all copies,
+    v0 + sum m_i (v_i - v0) / sum m_i, so a lone pair keeps its value bit for
+    bit.  Raises ValueError for a value that is not finite or a negative
+    multiplicity, before any arithmetic.
     """
+    pairs = [(v, m) for v, m in pairs if m != 0]
+    values = np.array([v for v, _ in pairs], dtype=float)
+    mults = np.array([m for _, m in pairs], dtype=int)
+    if not np.isfinite(values).all() or (mults < 0).any():
+        raise ValueError("curvatures must be finite and multiplicities non-negative")
+    order = np.argsort(values, kind="stable")
+    values, mults = values[order], mults[order]
     mags = np.abs(values)
-    runs = cluster(values, CLUSTER_TOL * (1.0 + np.maximum(mags[:-1], mags[1:])))
-    sums = [int(mults[run].sum()) for run in runs]
-    return tuple((float(values[run].mean()), m, m) for run, m in zip(runs, sums))
+    entries = []
+    for run in cluster(values, CLUSTER_TOL * (1.0 + np.maximum(mags[:-1], mags[1:]))):
+        v, m = values[run], mults[run]
+        total = int(m.sum())
+        value = v[0] + (m * (v - v[0])).sum() / total if len(v) > 1 else v[0]
+        entries.append((float(value), total, total))
+    return TubeSpectrum(tuple(entries), **kw)
 
 
 def spectrum_from_values(values, **kw) -> TubeSpectrum:
-    """Cluster raw curvature values into a TubeSpectrum."""
-    values = np.sort(np.asarray(values, dtype=float))
-    return TubeSpectrum(_merged_entries(values, np.ones(values.size)), **kw)
+    """Cluster raw curvature values, each of multiplicity 1, into a TubeSpectrum."""
+    return spectrum_from_pairs(((v, 1) for v in np.ravel(values)), **kw)
 
 
 @dataclass(frozen=True)
@@ -341,10 +354,8 @@ def standard_spectrum(example: str, n: int, r: float = None, c: float = -4.0, k:
             raw = [(s0 * t, n - 1), (s0 / t, n - 1), (2 * s0 * np.tanh(2 * s0 * r), 1)]
     if not np.isfinite([v for v, _ in raw]).all():  # 1/tanh overflows at a tiny r
         raise FocalRadius(f"a principal curvature at r = {r} is not finite")
-    hopf = raw[-1][0]
-    # merge coincident values (tube-rhn at r = log(2+sqrt(3))/sqrt(-c))
-    values, mults = np.array(sorted((v, m) for v, m in raw if m > 0)).T
-    return TubeSpectrum(_merged_entries(values, mults), hopf_value=float(hopf))
+    # coincident values merge (tube-rhn at r = log(2+sqrt(3))/sqrt(-c))
+    return spectrum_from_pairs(raw, hopf_value=float(raw[-1][0]))
 
 
 def lohnherr_spectrum(n: int, c: float = -4.0) -> TubeSpectrum:
@@ -463,8 +474,9 @@ def numeric_shape_operator(spec: TubeSpec, xi: ANVector) -> np.ndarray:
     is evolved and no closed form enters, so the eigenvalues are an
     independent check of tube_char_roots.
 
-    Returns the (2n-1) x (2n-1) matrix; ValueError unless it is symmetric
-    within 1e-8 of its largest entry, FocalRadius unless it is finite.
+    Returns the (2n-1) x (2n-1) matrix; FocalRadius unless it is finite and
+    symmetric within 1e-8 of its largest entry (at a large r, from about
+    r = 20 at c = -4, the evolution loses the symmetry before it overflows).
     """
     W, D = spec.Wspec, 2 * spec.n - 1
     v = _check_unit_normal(W, xi)
@@ -478,6 +490,8 @@ def numeric_shape_operator(spec: TubeSpec, xi: ANVector) -> np.ndarray:
     X1 = np.eye(D) - X0
     X1[:d, :d] = -A
     S = _jacobi_operator(X0, X1, u, np.sqrt(-spec.c) / 2, spec.r)
-    if not np.abs(S - S.T).max() <= 1e-8 * np.abs(S).max():
-        raise ValueError("shape operator is not symmetric")
+    asym = np.abs(S - S.T).max()
+    if not asym <= 1e-8 * np.abs(S).max():
+        raise FocalRadius(f"the tube shape operator at r = {spec.r} is not symmetric: "
+                          f"asymmetry {asym:.2e} above 1e-8 of its largest entry")
     return S

@@ -142,6 +142,16 @@ class TestProjection:
         mu = -C / (4 * np.tanh(0.9))
         assert any(abs(v - mu) < 1e-8 for v, _, _ in down.entries)
 
+    def test_projection_keeps_the_lift_eigenvalues(self):
+        # the projected curvatures are the lift's eigenvalues bit for bit,
+        # not the mean of their copies
+        spec = standard_spectrum("tube-chk", 10, r=0.7, c=C, k=3)
+        cls = classify_lift(hopf_lift_data(spec, C))
+        (lam, _, _), (mu, _, _) = cls.real_eigs
+        down = project_spectrum(cls, C)
+        assert mu == 1.6546216358026298
+        assert down.entries == ((lam, 6, 6), (mu, 12, 12), (lam + mu, 1, 1))
+
     def test_constraint_violations_raise(self):
         spec = standard_spectrum("horosphere", 2, c=C)
         cls = classify_lift(hopf_lift_data(spec, C))
@@ -235,6 +245,21 @@ def w_tube_lift(n, r, k, seed):
     xi = ANVector(0.0, v[0::2] + 1j * v[1::2], 0.0, C)
     assert 0.1 < normal_kahler_angle(W, xi) < np.pi / 2 - 0.1
     return tube_lift_data(TubeSpec(W, r), xi)
+
+
+def test_w_tube_lift_data_keeps_the_closed_forms():
+    # lambda = s0 tanh(s0 r) and mu = s0 coth(s0 r) reach the spectrum as
+    # computed, not as the mean of their copies
+    rng = np.random.default_rng(25)
+    for _ in range(20):
+        n = int(rng.integers(4, 11))
+        k, r = int(rng.integers(3, 2 * n - 2)), float(rng.uniform(0.2, 3.0))
+        W = build_w(random_subspace(n - 1, 2 * (n - 1) - k, seed=int(rng.integers(2**31))), n, C)
+        v = W.w_perp_basis.T @ rng.standard_normal(k)
+        v /= np.linalg.norm(v)
+        data = tube_lift_data(TubeSpec(W, r), ANVector(0.0, v[0::2] + 1j * v[1::2], 0.0, C))
+        values = [v for v, _, _ in data.spectrum_down.entries]
+        assert np.tanh(r) in values and 1 / np.tanh(r) in values  # s0 = 1 at c = -4
 
 
 @pytest.mark.parametrize("n", [10, 30])

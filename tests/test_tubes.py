@@ -319,6 +319,47 @@ class TestTubeSpectrumValues:
         assert spec.entries == ((0.5, 2, 2), (2.0, 1, 1))
 
 
+class TestSpectrumFromPairs:
+    # the one merge rule: neighbours within CLUSTER_TOL (1 + max|v|) merge to
+    # the mean over all their copies, v0 + sum m_i (v_i - v0) / sum m_i
+
+    def test_lone_pair_is_kept_bit_for_bit(self):
+        values = [0.1 + 0.2, 1 / 3, -0.0, 7e300]
+        spec = tg.spectrum_from_pairs([(v, 5) for v in values])
+        assert spec.entries == tuple(sorted((v, 5, 5) for v in values))
+        assert np.signbit(spec.entries[0][0])  # -0.0 keeps its sign
+
+    def test_merged_run_takes_the_mean_over_all_copies(self):
+        a, b = 1.0, 1.0 + 3e-8
+        spec = tg.spectrum_from_pairs([(b, 1), (a, 3)])
+        assert spec.entries == ((a + (b - a) / 4, 4, 4),)
+        assert spec.entries[0][0] != (a + b) / 2  # not the mean of the distinct values
+
+    def test_zero_multiplicity_is_dropped(self):
+        # even a value that is not finite: it names no curvature
+        spec = tg.spectrum_from_pairs([(2.0, 1), (1.0, 0), (np.inf, 0)], hopf_value=2.0)
+        assert spec.entries == ((2.0, 1, 1),) and spec.dim == 1 and spec.hopf_value == 2.0
+
+    @pytest.mark.parametrize("values", [[np.inf], [-np.inf, 1.0]], ids=str)
+    def test_non_finite_value_raises_without_a_warning(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                tg.spectrum_from_pairs([(v, 2) for v in values])
+
+    def test_negative_multiplicity_raises(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            tg.spectrum_from_pairs([(1.0, 2), (1.0, -1)])
+
+    def test_values_are_pairs_of_ones(self):
+        rng = np.random.default_rng(12)
+        x = np.concatenate([rng.standard_normal(20), 1 + rng.uniform(0, 1e-7, 6), [2.0] * 3])
+        rng.shuffle(x)
+        want = tg.spectrum_from_pairs([(v, 1) for v in x], hopf_value=2.0)
+        assert tg.spectrum_from_values(x, hopf_value=2.0) == want
+        assert len(want.entries) < len(x)  # some runs did merge
+
+
 class TestTubeSpec:
     @pytest.mark.parametrize("r", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_radius_outside_open_half_line(self, r):
@@ -448,6 +489,15 @@ class TestNumericShapeOperator:
         xi = normal_vector(W, [1.0, -0.5, 0.3, 0.8])
         S = numeric_shape_operator(spec, xi)
         assert np.abs(S - S.T).max() < 1e-10
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_lost_symmetry_raises_focal_radius(self, k):
+        # at r = 20 the evolution is finite but no longer symmetric
+        W = build_w(random_subspace(3, 6 - k, seed=3), 4, C)
+        xi = normal_vector(W, np.ones(k))
+        assert np.isfinite(tube_char_roots(4, k, 20.0, normal_kahler_angle(W, xi), C)).all()
+        with pytest.raises(FocalRadius, match="not symmetric.*1e-8"):
+            numeric_shape_operator(TubeSpec(W, 20.0), xi)
 
     def test_complex_case_diagonalizes_to_chk(self):
         w = subspace_from_blocks(3, [(0.0, 2)])  # C^1 in C^3, n = 4, k = 4
