@@ -84,7 +84,6 @@ from .tube_geometry import (
     numeric_shape_operator,
     parallel_data,
     spectrum_from_pairs,
-    spectrum_from_values,
     standard_spectrum,
     tube_char_poly,
     tube_char_roots,

@@ -156,7 +156,8 @@ def check_type_constraints(
         g = len(values)
         add("eigenvalue_count", max(0, g - 2), 1 <= g <= 2)
         for v in values:
-            res = abs(a * (4 * v**2 - c) - v * (4 * a**2 + 4 * b**2 - c))
+            # a v v, not a v**2: a finite residual must not overflow on the way
+            res = abs(4 * a * v * v - a * c - v * (4 * a * a + 4 * b * b - c))
             add("xiao_relation", res, res <= tol * scale)
         res = abs(4 * a**2 + 4 * b**2 + c)
         add("a2b2c_equality", res, res <= tol * scale)

@@ -158,9 +158,7 @@ def _cmd_spectrum(args) -> dict:
             if args.radius in (None, 0.0):
                 spec = tg.lohnherr_spectrum(args.n, c)
             else:
-                spec = tg.spectrum_from_values(
-                    tg.tube_char_roots(args.n, 1, args.radius, np.pi / 2, c)
-                )
+                spec = tg.tube_char_spectrum(args.n, 1, args.radius, np.pi / 2, c)
             rec = _spectrum_record(spec, example=args.example, n=args.n, r=args.radius or 0.0)
         else:
             spec = tg.standard_spectrum(args.example, args.n, r=args.radius, c=c, k=args.k)
@@ -181,8 +179,7 @@ def _cmd_spectrum(args) -> dict:
             angles = [(a, m) for a, m in profile.entries]
         spectra = []
         for angle, mult in angles:
-            roots = tg.tube_char_roots(args.n, W.k, args.radius, angle, c)
-            spec = tg.spectrum_from_values(roots)
+            spec = tg.tube_char_spectrum(args.n, W.k, args.radius, angle, c)
             spectra.append(
                 _spectrum_record(spec, n=args.n, k=W.k, r=args.radius, normal_angle=angle)
             )

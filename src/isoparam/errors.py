@@ -16,10 +16,9 @@ class DimensionMismatch(IsoparamError):
 class NondiagnosableOperator(IsoparamError):
     """The eigenstructure matches none of the Lorentzian canonical forms.
 
-    The input has passed the entry checks of classify_jordan, so this
-    signals eigenvalues that the fixed tolerances of indefinite_linalg
-    cannot separate or merge: near-coincident values or a nearly
-    defective block.
+    The input has passed the entry checks: its eigenvalues lie where the
+    fixed tolerances of indefinite_linalg, in classify_jordan's ladder or
+    classify_lift's secular roots, can neither separate nor merge them.
     """
 
 

@@ -18,15 +18,12 @@ subspaces, defect-one lifts are horospheres, complex-pair lifts are tubes
 around the real form, and defect-two lifts are tubes around the ruled
 minimal submanifolds.
 
-The bordered matrix is an arrowhead, and classify_lift classifies only
-its block: the rows with Hopf weight, one weightless anchor per run of
-equal curvatures and the vertical field.  Every other row is an exact
-spacelike unit eigenvector, so the full matrix reconstructs exactly when
-the block does, with the eigenvalues its runs joined; the guard of
-classify_jordan's last rung is checked on the block alone.  Hopf data has
-one weighted row, so its block has one row per distinct curvature and
-its type is fixed by one 2 x 2 block (Magid), classified in closed form
-wherever no rung of classify_jordan's ladder could decide otherwise.
+The bordered matrix is an arrowhead.  A row with no Hopf weight is an
+exact spacelike eigenvector, and classify_lift reads the rest of the
+spectrum off the secular function of the weighted runs, f(x) = x -
+s0^2 sum_j w_j / (d_j - x): its roots, their eigenvectors and, at a double
+or triple root, the Jordan chain.  A weightless curvature is decided from
+f, f' and f'' there, so the defective eigenvalue of a W-tube stays exact.
 """
 
 from __future__ import annotations
@@ -38,11 +35,12 @@ import numpy as np
 from .errors import (
     ConstraintViolation,
     DimensionMismatch,
+    NondiagnosableOperator,
     check_curvature,
 )
 from .indefinite_linalg import (
-    JORDAN_TOL, RANK_TOL, JordanClassification, _assemble, _check_reconstruction, _pair_basis,
-    classify_jordan, cluster,
+    JORDAN_TOL, MERGE_TOL, RANK_TOL, JordanClassification, _assemble, _check_reconstruction,
+    _pair_basis, cluster,
 )
 from .tube_geometry import TubeSpectrum, _tube_block, spectrum_from_pairs
 
@@ -65,7 +63,7 @@ class LiftedShapeData:
         check_curvature(self.c)
         if len(b) != self.spectrum_down.dim:
             raise DimensionMismatch("b length does not match the spectrum dimension")
-        if not abs(np.linalg.norm(b) - 1.0) <= 1e-8:  # also rejects NaN
+        if not abs(np.sqrt(b @ b) - 1.0) <= 1e-8:  # also rejects NaN
             raise ValueError("b must be a unit vector")
         object.__setattr__(self, "b", b)
 
@@ -75,10 +73,10 @@ def hopf_lift_data(spectrum: TubeSpectrum, c: float) -> LiftedShapeData:
     Hopf principal direction."""
     if spectrum.hopf_value is None:
         raise ValueError("spectrum has no Hopf value; supply b explicitly")
-    values = spectrum.expanded()
-    idx = int(np.argmin(np.abs(values - spectrum.hopf_value)))
-    b = np.zeros(len(values))
-    b[idx] = 1.0
+    entries = spectrum.entries  # the first row of the curvature nearest the Hopf value
+    j = min(range(len(entries)), key=lambda i: abs(entries[i][0] - spectrum.hopf_value))
+    b = np.zeros(sum(a for _, a, _ in entries))
+    b[sum(a for _, a, _ in entries[:j])] = 1.0
     return LiftedShapeData(spectrum, b, c)
 
 
@@ -103,14 +101,10 @@ def tube_lift_data(spec, xi) -> LiftedShapeData:
 def _arrowhead(values, border, s0):
     """The bordered matrix with the given diagonal, last column -s0 border
     and last row +s0 border, and the signs (+1, ..., +1, -1) of its Gram."""
-    m = len(values)
-    M = np.zeros((m + 1, m + 1))
-    M[np.arange(m), np.arange(m)] = values
-    M[:m, m] = -border * s0
-    M[m, :m] = border * s0
-    signs = np.ones(m + 1)
-    signs[m] = -1.0
-    return M, signs
+    M = np.diag(np.append(values, 0.0))
+    M[:-1, -1] = -border * s0
+    M[-1, :-1] = border * s0
+    return M, np.append(np.ones(len(values)), -1.0)
 
 
 def lift_shape_operator(data: LiftedShapeData) -> tuple[np.ndarray, np.ndarray]:
@@ -125,168 +119,175 @@ def lift_shape_operator(data: LiftedShapeData) -> tuple[np.ndarray, np.ndarray]:
     return M, np.diag(signs)
 
 
-def _lift_residuals(block, signs, joined, offsets):
-    """residuals(M, gram) of the full bordered matrix M in classify_lift's
-    basis, without M: on the block's rows the basis is joined's, which
-    carries the eigenvalues the block's took, and a free row's unit column
-    leaves only its offset, its run's value minus the eigenvalue joined."""
-    gram_err, shape_err = joined.residuals(block, np.diag(signs))
-    # np.max, not max: a NaN residual must survive to fail the guard
-    return gram_err, float(np.max(np.abs([shape_err, *offsets])))
+def _lift_residuals(block, signs, cls, rows, offsets):
+    """residuals(M, gram) of the bordered matrix M in cls's basis, without M: M
+    is block on rows (the weighted rows and the vertical field), which hold
+    every column but the unit ones, whose residual is their offset."""
+    top, lead = cls.adapted_basis[rows], cls.lead_block()
+    cols = np.flatnonzero(top.any(axis=0))  # the block's: the lead's, then the timelike one
+    top, k = top[:, cols], len(lead)
+    canonical = np.diag([*np.diagonal(lead), *(cls.diag[i - k] for i in cols[k:])])
+    canonical[:k, :k] = lead  # canonical_matrix() on these columns, then canonical_gram()
+    gram = top.T @ (signs[:, None] * top) - np.eye(len(cols))
+    if cls.jtype in ("I", "IV"):
+        gram[0, 0] += 2.0
+    else:
+        gram[:2, :2] += [[1.0, -1.0], [-1.0, 1.0]]
+    shape = np.abs(block @ top - top @ canonical).max()  # np.max: a NaN must fail the guard
+    return float(np.abs(gram).max()), float(np.max(np.abs([*offsets, shape])))
 
 
-def _hopf_block(block):
-    """classify_jordan of an arrowhead block from _arrowhead, in closed form;
-    None unless exactly one border entry, beta on row h, is nonzero and no
-    other row shares h's diagonal value, and None where a rung of the
-    ladder could decide otherwise.
+def _secular(gap, x, sb):
+    """(t, f, f', f''/2) of f(x) = x - sum sb^2 / (d - x) at x, a scalar or a
+    vector, gap = d - x: (t, 1) is v(x), the eigenvector where f(x) = 0."""
+    t = sb / gap
+    return t, x - t @ sb, 1.0 - (t * t).sum(-1), -(t * t / gap).sum(-1)
 
-    The other rows are exact spacelike eigenvectors, the anchors.  Row h and
-    the vertical field couple through [[lam_H, -beta], [beta, 0]] with Gram
-    diag(1, -1) (Magid), whose characteristic polynomial x^2 - lam_H x
-    + beta^2 has discriminant disc = (lam_H - 2 beta)(lam_H + 2 beta).
-    Where disc > 0 the roots x carry the eigenvectors (x, beta) on (h,
-    vertical), timelike for the smaller |x| (type I); where disc < 0 they
-    are the pair lam_H/2 +- i sqrt(-disc)/2 (type IV); at 0 the double root
-    lam_H/2 carries a semi-null pair with epsilon = sign(lam_H) (type II).
 
-    With scale = 1 + max|block|, the closed form answers only where the
-    root split sqrt|disc| and each gap between the sorted candidates (the
-    anchor values and the real roots) is at most RANK_TOL scale, merged to
-    the mean of its copies, or above JORDAN_TOL scale, kept apart; a merged
-    run spans at most RANK_TOL scale, a double root keeps one eigenvector
-    only where |beta| is above JORDAN_TOL scale, and 4 scale^2 is finite.
-    """
-    m = len(block) - 1
-    values, nonzero = np.diag(block)[:m], np.flatnonzero(block[m, :m])
-    if len(nonzero) != 1 or (values == values[nonzero[0]]).sum() > 1:
-        return None
-    h = int(nonzero[0])
-    lam_h, beta = float(values[h]), float(block[m, h])  # floats: an overflow is inf, not a warning
-    scale = 1.0 + float(np.abs(block).max())
-    merge, apart = RANK_TOL * scale, JORDAN_TOL * scale
-    disc = (lam_h - 2 * beta) * (lam_h + 2 * beta)
-    split = abs(disc) ** 0.5
-    double = split <= merge
-    # 4 scale^2 bounds every square and product formed below
-    if not 4 * scale * scale < np.inf or merge < split <= apart or double and not abs(beta) > apart:
-        return None
-    # candidates (value, alg, geo, columns): the roots, then the anchors
-    cands, lead, pair, epsilon = [], np.zeros((m + 1, 0)), None, None
-    if double:  # the root lam and the chain u, v with N u = epsilon v
-        lam = lam_h / 2
-        epsilon = 1 if lam > 0 else -1
-        root = abs(lam) ** 0.5
-        lead = np.zeros((m + 1, 2))
-        lead[[h, m], 0] = 0.5 / root, -beta / (2 * lam * root)
-        lead[[h, m], 1] = root, epsilon * beta / root
-        cands.append((lam, 2, 1, lead[:, :0]))
-    elif disc < 0:
-        pair = (lam_h / 2, split / 2)
-        x, y = np.zeros(m + 1), np.zeros(m + 1)
-        x[[h, m]] = pair[0], beta
-        y[h] = pair[1]
-        lead = _pair_basis(x, y, np.diag([1.0] * m + [-1.0]))
-    else:  # the timelike root beta^2 / big first; |x^2 - beta^2| = |x| sqrt(disc)
-        big = (lam_h + (split if lam_h > 0 else -split)) / 2
-        for x in (beta * beta / big, big):
-            if not abs(x) * split > 0:
-                return None
-            v = np.zeros((m + 1, 1))
-            v[[h, m], 0] = x, beta
-            cands.append((x, 1, 1, v / (abs(x) * split) ** 0.5))
-    key = cands[0] if cands else None  # the timelike or defective root
-    eye = np.eye(m + 1)
-    cands += [(values[j], 1, 1, eye[:, j:j + 1]) for j in range(m) if j != h]
+def _chain(x, d, sb, signs, length):
+    """(columns, epsilon) of the type II or III block, of length 2 or 3, at x:
+    with N = M - x and u the vertical field, N v = -f u, N v' = v - f' u and
+    N v''/2 = v' - f''/2 u, so shifts along u give v, v', v''/2 the Gram of
+    an exact chain, normalised as indefinite_linalg's chains are."""
+    t = sb / (d - x)
+    v, v1, v2 = (np.append(t / (d - x) ** j, float(j == 0)) for j in range(3))
+    u = np.append(np.zeros(len(t)), 1.0)
 
-    order = np.argsort([c[0] for c in cands], kind="stable")
-    vals = np.array([cands[i][0] for i in order])
-    runs, gaps = cluster(vals, merge), np.diff(vals)
-    if ((gaps > merge) & (gaps <= apart)).any() or any(vals[s][-1] - vals[s][0] > merge for s in runs):
-        return None
-    entries, first = [], None
-    for s in runs:
-        members = [cands[i] for i in sorted(order[s])]  # roots before anchors
-        alg = sum(c[1] for c in members)
-        value = sum(c[0] * c[1] for c in members) / alg  # the mean over all copies
-        entries.append([value, alg, sum(c[2] for c in members), [c[3] for c in members]])
-        if any(c is key for c in members):
-            first = entries[-1]
-    jtype = "II" if epsilon else "IV" if pair else "I"
-    return _assemble(jtype, lead, entries, first, pair, epsilon)
+    def dot(p, q):  # numpy floats: an overflow is inf and a negative root NaN
+        return p @ (signs * q)
+
+    g = dot(v, v)  # <v + a u, v + a u> = g - 2a - a^2 and <v + a u, u> = -(1 + a)
+    a = g / (1 + (1 + g) ** 0.5)
+    v = v + a * u
+    if length == 2:
+        s = dot(v, v1)
+        epsilon, norm = (1 if s > 0 else -1), abs(s) ** 0.5
+        return np.column_stack([v1 - dot(v1, v1) / (2 * s) * v, v * epsilon]) / norm, epsilon
+    v1 = v1 + dot(v, v1) / (1 + a) * u  # <v, v'> = 0
+    v2 = v2 + (dot(v, v2) - dot(v1, v1)) / (1 + a) * u  # <v, v''/2> = <v', v'>
+    e1, e2, e3 = np.array([v, v2, v1]) / dot(v, v2) ** 0.5
+    shift = -0.5 * dot(e2, e3)  # null out <e2, e3>, then <e2, e2>
+    e2 = e2 - 0.5 * (dot(e2, e2) + 2 * shift * dot(e2, e3) + shift * shift) * e1 + shift * e3
+    return np.column_stack([e1, e2, e3 + shift * e1]), None
 
 
 def classify_lift(data: LiftedShapeData) -> JordanClassification:
-    """Classify the lifted shape operator on its bordered block.
+    """Classify the lifted shape operator from its secular equation.
 
-    A curvature of multiplicity L is a run of L equal diagonal entries of
-    the arrowhead, and a row of the run with no Hopf weight is an exact
-    eigenvector of the lift: spacelike, unit, with the run's value.  The
-    block keeps the rows with weight, the first weightless row of each run
-    that has one (its anchor) and the vertical field.  The anchor keeps the
-    run's value an eigenvalue of the block, so the block's classification
-    makes every merge of it: the defective eigenvalue of a W-tube carries
-    no weight, and its anchor holds the split triple root to type III.
-    _hopf_block classifies the block in closed form where it decides it,
-    and classify_jordan otherwise.
-
-    The other weightless rows of a run are free columns that join the
-    block eigenvalue nearest the run's value, the anchor's; a joined
-    eigenvalue is the mean over all its copies.  The adapted basis keeps
-    the canonical order of classify_jordan (the leading block, then the
-    timelike or defective eigenvalue, then the rest ascending).  It must
-    reconstruct the full bordered matrix within the bound of the last
-    rung of classify_jordan, at scale 1 + max|block|, the full matrix's,
-    or NondiagnosableOperator is raised; _lift_residuals evaluates it on
-    the block.
+    A row of the arrowhead M with no Hopf weight is an exact spacelike unit
+    eigenvector, and so is each direction of a run orthogonal to its b.  The
+    other eigenvalues are the roots of f(x) = x - s0^2 sum_j w_j / (d_j - x),
+    w_j the weight sum b_i^2 of the run of value d_j (Golub 1973; Bunch,
+    Nielsen and Sorensen 1978), with eigenvector v(x) = (s0 b_i / (d_i - x),
+    1), timelike where f'(x) = -<v, v> > 0, and at a double or triple root
+    the chain v, v' (v''/2).  With S = 1 + max|M|, a weightless value e is
+    a root where |f(e)| <= RANK_TOL S and |f/f'| <= MERGE_TOL S, a double
+    one where instead |f'(e)| <= RANK_TOL, a triple one where also
+    |f''(e)/2| S <= JORDAN_TOL; it stays exact, and its copies among the
+    roots of the compressed arrowhead (one row per run, R its largest entry)
+    must lie within RANK_TOL S, or JORDAN_TOL S if multiple.  The other
+    roots are real below MERGE_TOL R of imaginary part (two within it a
+    double root) and a type IV pair above JORDAN_TOL R; a simple one takes a
+    Newton step, or, within RANK_TOL S of a pole, its offset from it.
+    Eigenvalues within MERGE_TOL S merge to the mean over all their copies.
+    A decision between the rungs or against another, or a basis (in
+    classify_jordan's order) missing M by more than JORDAN_TOL S, the bound
+    of its last rung (_lift_residuals), raises NondiagnosableOperator.
     """
-    lengths = [a for _, a, _ in data.spectrum_down.entries]
-    d = data.spectrum_down.expanded()
-    m = len(d)
+    spec, b, values = data.spectrum_down, data.b, data.spectrum_down.values
+    run = np.repeat(np.arange(len(values)), [a for _, a, _ in spec.entries])  # row -> value
+    m, s0 = len(run), np.sqrt(-data.c) / 2
+    scale = 1.0 + max(abs(values[0]), abs(values[-1]), s0 * np.abs(b).max())
+    weighted = b * b > 0
+    rows = np.flatnonzero(np.append(weighted, True))  # the block: weighted rows, vertical field
+    dw, sb, pole_of = values[run[weighted]], s0 * b[weighted], run[weighted]
+    block, signs = _arrowhead(dw, b[weighted], s0)
+    heavy = np.bincount(pole_of, minlength=len(values))  # weighted rows per value
+    weight = np.bincount(pole_of, sb * sb, minlength=len(values))[heavy > 0]  # s0^2 w_j
+    compressed = _arrowhead(values[heavy > 0], weight ** 0.5, 1.0)[0]
+    root_scale = np.abs(compressed).max()
+    if len(weight) == 1:  # x^2 - d x + s0^2 w, written down: a Hopf op is tube-sweep's p50
+        half, beta = values[heavy > 0][0] / 2, weight[0] ** 0.5
+        root = np.sqrt(abs(half) - beta + 0j) * np.sqrt(abs(half) + beta)  # no square to overflow
+        roots = [half + root, half - root]
+    else:
+        roots = np.linalg.eigvals(compressed).astype(complex).tolist()
+    light = np.flatnonzero(~weighted)
+    units = np.zeros((m + 1, len(light)))  # the weightless rows' unit columns, by value
+    units[light, np.arange(len(light))] = 1.0
+    cut = np.searchsorted(run[light], np.arange(len(values) + 1))
+    lead, pair, epsilon, jtype, first = units[:, :0], None, None, "I", None
 
-    # kept rows: each run's anchor, then its weighted rows
-    weighted = data.b != 0
-    kept, runs = [], []  # runs: (value, free rows) of each run that has some
-    for s, L in zip(np.cumsum([0] + lengths[:-1]), lengths):
-        light = s + np.flatnonzero(~weighted[s:s + L])
-        kept += [*light[:1], *s + np.flatnonzero(weighted[s:s + L])]
-        if len(light) > 1:
-            runs.append((d[s], light[1:]))
-    block, signs = _arrowhead(d[kept], data.b[kept], np.sqrt(-data.c) / 2)
-    small = _hopf_block(block) or classify_jordan(block, np.diag(signs))
+    def part(x, blocks, length, gap):  # [value, alg, geo, blocks, units, secular, key]
+        nonlocal lead, epsilon, jtype
+        c, unit = sum(blk.shape[1] for blk in blocks), blocks[0].shape[1]
+        if length == 1:  # v(x), timelike or not; 2 or 3: the chain, the key part
+            t, _, slope, _ = _secular(gap, x, sb)
+            col = np.zeros((m + 1, 1))
+            col[rows, 0] = np.append(t, 1.0) / abs(slope) ** 0.5
+            return [x, c + 1, c + 1, [col, *blocks], unit, True, slope > 0]
+        if length > 1:
+            if jtype != "I":
+                raise NondiagnosableOperator("more than one defective secular root")
+            lead, jtype = np.zeros((m + 1, length)), "I" * length  # II or III
+            lead[rows], epsilon = _chain(x, dw, sb, signs, length)
+        return [x, c + length, c + (length > 0), blocks, unit, length > 0, length > 0]
 
-    # embed: the block's rows are the kept rows and the vertical field;
-    # [value, alg, geo, column blocks] per eigenvalue
-    lead = small.dim - len(small.diag)  # the canonical block's columns
-    cols = np.zeros((m + 1, small.dim))
-    cols[kept + [m]] = small.adapted_basis
-    diag = np.array(small.diag)
-    eigs = [[v, a, g, [cols[:, lead:][:, diag == v]]] for v, a, g in small.real_eigs]
-    # the timelike (I) or defective (II, III) eigenvalue comes first; IV has none
-    first = small.diag[0] if small.jtype == "I" else small.defective_eig
-    first = next((e for e in eigs if e[0] == first), None)
-    centers = np.array([e[0] for e in eigs])
-    joins = []  # (value, entry) of each run
-    for value, rows in runs:
-        e, k = eigs[int(np.argmin(np.abs(centers - value)))], len(rows)
-        e[0] += k * (value - e[0]) / (e[1] + k)  # the mean over all copies
-        e[1] += k
-        e[2] += k
-        F = np.zeros((m + 1, k))
-        F[rows, range(k)] = 1.0
-        e[3].append(F)
-        joins.append((value, e))
-    cls = _assemble(small.jtype, cols[:, :lead], eigs, first, small.complex_pair, small.epsilon)
+    with np.errstate(all="ignore"):  # an overflow fails a decision or the guard; inf at the poles
+        _, f0, f1, f2 = _secular(dw - values[:, None], values, sb)
+        root = np.abs(f0) <= RANK_TOL * scale
+        mult = np.where(root & (np.abs(f1) <= RANK_TOL), 2 + (np.abs(f2) * scale <= JORDAN_TOL),
+                        root & (np.abs(f0) <= MERGE_TOL * scale * np.abs(f1)))
+        for j in np.argsort(-mult, kind="stable")[:np.count_nonzero(mult)]:
+            e, k, tol = values[j], mult[j], RANK_TOL if mult[j] == 1 else JORDAN_TOL
+            roots.sort(key=lambda z: abs(z - e))
+            if len(roots) < k or not abs(roots[k - 1] - e) <= tol * scale:
+                raise NondiagnosableOperator(f"the roots near {e:.6g} do not match f there")
+            del roots[:k]
+        parts, entries, offsets = [], [], []
+        for j, e in enumerate(values):
+            blocks = [units[:, cut[j]:cut[j + 1]]]
+            if heavy[j] > 1:  # the run's directions orthogonal to its b are exact too
+                on = np.flatnonzero(pole_of == j)
+                blocks.append(np.zeros((m + 1, len(on) - 1)))
+                blocks[1][rows[on]] = np.linalg.svd(sb[on][None])[2][1:].T
+            parts.append(part(e, blocks, int(mult[j]), dw - e))
 
-    # the guard of classify_jordan's last rung on the full bordered matrix,
-    # whose largest entry is in block; joined is small with the values that
-    # the block's eigenvalues took
-    moved = {v: e[0] for e, (v, _, _) in zip(eigs, small.real_eigs)}
-    joined = JordanClassification(
-        small.jtype, tuple((moved[v], a, g) for v, a, g in small.real_eigs), small.complex_pair,
-        small.epsilon, small.adapted_basis, tuple(moved[v] for v in small.diag), small.dim)
-    residuals = _lift_residuals(block, signs, joined, [value - e[0] for value, e in joins])
-    scale = 1.0 + np.abs(block).max()
+        if any(MERGE_TOL * root_scale < abs(z.imag) <= JORDAN_TOL * root_scale for z in roots):
+            raise NondiagnosableOperator("a secular root is neither real nor complex at every rung")
+        upper = [z for z in roots if z.imag > JORDAN_TOL * root_scale]
+        if upper:
+            if len(upper) != 1 or jtype != "I":
+                raise NondiagnosableOperator("a complex pair beside another pair or defect")
+            (z,), jtype, lead = upper, "IV", np.zeros((m + 1, 2))
+            pair, v = (float(z.real), float(z.imag)), sb / (dw - z)
+            lead[rows] = _pair_basis(np.append(v.real, 1.0), np.append(v.imag, 0.0), np.diag(signs))
+        reals = np.sort([z.real for z in roots if abs(z.imag) <= MERGE_TOL * root_scale])
+        for s in cluster(reals, MERGE_TOL * root_scale) if len(reals) else ():  # two: a double root
+            x, gap = float(reals[s].mean()), dw - reals[s].mean()
+            if s.stop - s.start == 1:  # one Newton step or, within rounding of a pole, its offset
+                near = pole_of == pole_of[np.argmin(np.abs(gap))]
+                if np.abs(gap[near]).max() <= RANK_TOL * scale:
+                    gap[near] = sb[near] @ sb[near] / (x - sb[~near] @ (sb[~near] / gap[~near]))
+                else:
+                    _, fx, slope, _ = _secular(gap, x, sb)
+                    x, gap = x - fx / slope, dw - (x - fx / slope)
+            parts.append(part(x, [units[:, :0]], s.stop - s.start, gap))
+        if sum(p[6] for p in parts) != (pair is None):
+            raise NondiagnosableOperator(f"type {jtype} lift with a wrong number of timelike roots")
+
+        parts = sorted((p for p in parts if p[1]), key=lambda p: p[0])
+        for s in cluster([p[0] for p in parts], MERGE_TOL * scale):
+            group = sorted(parts[s], key=lambda p: not p[5])  # a secular part's columns first
+            alg, v0 = sum(p[1] for p in group), min(p[0] for p in group)
+            value = v0 + sum(p[1] * (p[0] - v0) for p in group) / alg if len(group) > 1 else v0
+            if len(group) > 1 and (group[1][5] or max(p[0] for p in group) - v0 > RANK_TOL * scale):
+                raise NondiagnosableOperator(f"eigenvalues merged near {value:.6g} are not one kernel")
+            offsets += [p[0] - value for p in group if p[4]]  # the mean over all copies
+            entries.append([value, alg, sum(p[2] for p in group), [c for p in group for c in p[3]]])
+            first = entries[-1] if group[0][6] else first
+        cls = _assemble(jtype, lead, entries, first, pair, epsilon)
+        residuals = _lift_residuals(block, signs, cls, rows, offsets)
     _check_reconstruction(residuals, scale, JORDAN_TOL * scale, "deflated lift does not reconstruct")
     return cls
 
@@ -341,4 +342,7 @@ def project_spectrum(cls: JordanClassification, c: float) -> TubeSpectrum:
         return spectrum_from_pairs(raw, unresolved_dims=dim_down - known, family="w-tube")
     else:
         raise ConstraintViolation(f"unknown type {cls.jtype!r}")
-    return spectrum_from_pairs(raw, hopf_value=float(hopf))
+    down = spectrum_from_pairs(raw, hopf_value=float(hopf))
+    if cls.jtype == "I" and (down.hopf_value, 1, 1) not in down.entries:  # lambda mu = -c/4 != 0
+        raise ConstraintViolation("the Hopf value lambda + mu merges with another curvature")
+    return down

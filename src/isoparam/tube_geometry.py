@@ -129,11 +129,6 @@ def spectrum_from_pairs(pairs, **kw) -> TubeSpectrum:
     return TubeSpectrum(tuple(entries), **kw)
 
 
-def spectrum_from_values(values, **kw) -> TubeSpectrum:
-    """Cluster raw curvature values, each of multiplicity 1, into a TubeSpectrum."""
-    return spectrum_from_pairs(((v, 1) for v in np.ravel(values)), **kw)
-
-
 @dataclass(frozen=True)
 class TubeSpec:
     """A tube of radius r around a submanifold W_w."""
@@ -285,6 +280,12 @@ def tube_char_roots(n: int, k: int, r: float, phi: float, c: float) -> np.ndarra
     return np.sort(np.array(roots))
 
 
+def tube_char_spectrum(n: int, k: int, r: float, phi: float, c: float) -> TubeSpectrum:
+    """tube_char_roots as a spectrum: lam, mu with their powers and the angle factor's roots."""
+    lam, mu, factor, p_lam, p_mu = _char_factors(n, k, r, phi, c)
+    return spectrum_from_pairs([(lam, p_lam), (mu, p_mu), *((x, 1) for x in _poly_roots(factor))])
+
+
 def _poly_roots(coeffs: np.ndarray) -> np.ndarray:
     """Real roots of a low-degree polynomial via its companion matrix."""
     coeffs = np.asarray(coeffs, dtype=float)
@@ -395,9 +396,7 @@ def tube_spectrum_at(spec: TubeSpec, xi: ANVector) -> TubeSpectrum:
     with the normal direction: only constant-angle w_perp gives a
     hypersurface with globally constant principal curvatures.
     """
-    phi = normal_kahler_angle(spec.Wspec, xi)
-    roots = tube_char_roots(spec.n, spec.k, spec.r, phi, spec.c)
-    return spectrum_from_values(roots)
+    return tube_char_spectrum(spec.n, spec.k, spec.r, normal_kahler_angle(spec.Wspec, xi), spec.c)
 
 
 def _jacobi_operator(X0, X1, u, s0: float, r: float) -> np.ndarray:

@@ -236,15 +236,33 @@ def test_rhn_round_trip_at_small_radius(n, r):
     assert spec.matches(project_spectrum(cls, C), tol=1e-8)
 
 
-def w_tube_lift(n, r, k, seed):
-    """Lift data of the tube of radius r around W_w, dim w_perp = k, at a
-    random normal direction (its Kahler angle is strictly inside (0, pi/2))."""
+def w_tube_normal(n, k, seed):
+    """(W_w, xi): a random w with dim w_perp = k, and a random unit normal."""
     W = build_w(random_subspace(n - 1, 2 * (n - 1) - k, seed=seed), n, C)
     v = W.w_perp_basis.T @ np.random.default_rng(seed).standard_normal(k)
     v /= np.linalg.norm(v)
-    xi = ANVector(0.0, v[0::2] + 1j * v[1::2], 0.0, C)
+    return W, ANVector(0.0, v[0::2] + 1j * v[1::2], 0.0, C)
+
+
+def w_tube_lift(n, r, k, seed):
+    """Lift data of the tube of radius r around W_w, dim w_perp = k, at a
+    random normal direction (its Kahler angle is strictly inside (0, pi/2))."""
+    W, xi = w_tube_normal(n, k, seed)
     assert 0.1 < normal_kahler_angle(W, xi) < np.pi / 2 - 0.1
     return tube_lift_data(TubeSpec(W, r), xi)
+
+
+def seeded_w_tube_lift(seed):
+    """Lift data of a W-tube drawn from seed: n = 3-10, dim w_perp = 2 to
+    2n - 3, r log-uniform on [0.05, 3] (c = -4), at the first normal drawn
+    whose Kahler angle lies in (0.1, pi/2 - 0.1)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 11))
+    k, r = int(rng.integers(2, 2 * n - 2)), float(np.exp(rng.uniform(np.log(0.05), np.log(3.0))))
+    while True:
+        W, xi = w_tube_normal(n, k, int(rng.integers(2**31)))
+        if 0.1 < normal_kahler_angle(W, xi) < np.pi / 2 - 0.1:
+            return tube_lift_data(TubeSpec(W, r), xi)
 
 
 def test_w_tube_lift_data_keeps_the_closed_forms():
@@ -395,8 +413,8 @@ def test_free_column_joins_within_first_rung(eps):
 
 @pytest.mark.parametrize("residuals", [(np.nan, np.nan), (0.0, np.nan), (np.nan, 0.0)])
 def test_nan_residual_fails_the_lift_guard(monkeypatch, residuals):
-    # only the lift's structured residuals get the NaN, so the deflated
-    # block classifies and the lift's own guard must refuse
+    # only the lift's structured residuals get the NaN, so every decision
+    # on the secular roots passes and the lift's own guard must refuse
     n = 3
     data = hopf_lift_data(standard_spectrum("tube-chk", n, r=0.7, c=C, k=1), C)
     monkeypatch.setattr(hopf_lift, "_lift_residuals", lambda *args: residuals)
@@ -449,37 +467,56 @@ def test_lift_forms_no_full_size_residual(monkeypatch):
         classify_lift(data)
 
 
-def dense_calls(monkeypatch):
-    """The sizes of the blocks that classify_lift hands to classify_jordan."""
-    sizes = []
-    classify = hopf_lift.classify_jordan
-    monkeypatch.setattr(hopf_lift, "classify_jordan", lambda A, G: sizes.append(len(A)) or classify(A, G))
-    return sizes
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 10, 30, 100])
-def test_block_has_one_row_per_curvature(monkeypatch, n):
-    # at these radii the Hopf families and the W-tube put Hopf weight only
-    # on simple curvatures, so the block has one row per distinct curvature
-    # plus the vertical field, whatever n; the Hopf families classify it in
-    # closed form, and the W-tube through the dense classification
-    sizes = dense_calls(monkeypatch)
+def test_lift_makes_no_dense_classification(monkeypatch, n):
+    # every lift is decided from its secular equation: no input of
+    # lift_cases reaches a pass of classify_jordan's ladder, at any n
+    from isoparam import indefinite_linalg
+
+    def no_ladder(*args):
+        raise AssertionError("classify_lift ran a pass of classify_jordan")
+
+    monkeypatch.setattr(indefinite_linalg, "_classify_pass", no_ladder)
     for r in ([0.05, 0.7, 2.5] if n <= 30 else [0.7]):
         for family, data in lift_cases(n, r):
-            sizes.clear()
-            if family in ("tube-chk", "horosphere", "tube-rhn"):
-                classify_lift(data)
-                assert sizes == [], (family, r)
-            elif family == "w-tube":
-                classify_lift(data)
-                assert sizes == [len(data.spectrum_down.entries) + 1], (family, r)
+            classify_lift(data)
+
+
+@pytest.mark.parametrize("family, n, k, r, jtype", [
+    # mu - lambda = 2 / sinh(2r) lies between RANK_TOL and JORDAN_TOL times 1 + max|M|
+    ("tube-chk", 10, 3, 4.972698386207045, "I"),
+    # at small r the scale 1 + mu puts the pair's split in that window
+    ("tube-rhn", 10, None, 2.7489733401185794e-05, "IV"),
+])
+def test_hopf_lift_between_the_rungs_stays_right(family, n, k, r, jtype):
+    spec = standard_spectrum(family, n, r=r, c=C, k=k)
+    cls = classify_lift(hopf_lift_data(spec, C))
+    assert cls.jtype == jtype
+    assert spec.matches(project_spectrum(cls, C), tol=1e-8)
+
+
+def test_lohnherr_lift_is_type_iii_at_zero():
+    # lift --example lohnherr --n 4: r = 0 and b = 1/sqrt(2) on the rows of
+    # -1 and 1, so f(x) = -x^3 / (1 - x^2) has its triple root at the
+    # weightless curvature 0, whose five rows join it
+    import contextlib
+    import io
+    import json
+
+    from isoparam.cli import run
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["lift", "--example", "lohnherr", "--n", "4", "--output", "json"]) == 0
+    payload = json.loads(out.getvalue())
+    assert (payload["jordan_type"], payload["eigenvalues"]) == ("III", [[0.0, 8, 6]])
 
 
 @pytest.mark.parametrize("r", [0.3, 0.7, 1.5])
 def test_zero_weight_eigenvalue_keeps_its_row(r):
     # for n = 2, k = 1 the W-tube curvature lambda = s0 tanh(s0 r) carries
-    # no Hopf weight; the block must keep its row, whose exact copy of
-    # lambda holds the split triple root of the lift to type III
+    # no Hopf weight; the triple root of the lift is decided at lambda
+    # itself, where its eig copies split, and stays type III
     W = build_w(random_subspace(1, 1, seed=0), 2, C)
     v = W.w_perp_basis[0]
     data = tube_lift_data(TubeSpec(W, r), ANVector(0.0, v[0::2] + 1j * v[1::2], 0.0, C))
@@ -499,56 +536,22 @@ def test_zero_weight_eigenvalue_keeps_its_row(r):
     # the spectrum has merged the Hopf value into mu's run
     ("tube-chk", 10, 0, 1.451223259259736e-06, ConstraintViolation),
 ])
-def test_undecided_hopf_block_takes_the_ladder(monkeypatch, family, n, k, r, error):
-    # the closed form must not answer where a rung of classify_jordan's
-    # ladder could decide otherwise: these take the ladder and raise
-    sizes = dense_calls(monkeypatch)
+def test_unresolved_hopf_lift_raises(family, n, k, r, error):
+    # where the radius leaves the lift's eigenvalues unresolved, the lift or
+    # its projection raises; it never answers
     data = hopf_lift_data(standard_spectrum(family, n, r=r, c=C, k=k), C)
     with pytest.raises(error):
         project_spectrum(classify_lift(data), C)
-    assert len(sizes) == 1
 
 
 @pytest.mark.parametrize("n", [3, 10])
-def test_hopf_row_in_a_shared_run_takes_the_ladder(monkeypatch, n):
+def test_hopf_row_in_a_shared_run_matches_the_full_matrix(n):
     # at tanh(s0 r) = 1/sqrt(3) the tube-rhn Hopf value equals mu, so the
-    # Hopf row shares mu's run: the lift JSON is the ladder's, byte for byte
-    import contextlib
-    import io
-
-    from isoparam.cli import run
-
-    def lift_json():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert run(["lift", "--example", "tube-rhn", "--n", str(n),
-                        "--radius", repr(float(np.arctanh(1 / np.sqrt(3))))]) == 0
-        return out.getvalue()
-
-    sizes = dense_calls(monkeypatch)
-    got = lift_json()
-    assert len(sizes) == 1
-    monkeypatch.setattr(hopf_lift, "_hopf_block", lambda *args: None)
-    assert got == lift_json()
-
-
-@pytest.mark.parametrize("values, border", [
-    ([0.5, 2.0, 2.5], [0.0, 0.6, 0.8]),  # two nonzero border entries
-    ([0.5, 2.0, 2.5], [0.0, 0.0, 0.0]),  # no nonzero border entry
-    ([0.5, 2.5, 2.5], [0.0, 0.0, 1.0]),  # the Hopf row shares 2.5 with an anchor
-])
-def test_hopf_block_declines_non_hopf_blocks(values, border):
-    block, signs = hopf_lift._arrowhead(np.array(values), np.array(border), 1.0)
-    assert hopf_lift._hopf_block(block) is None
-
-
-def test_hopf_block_decides_a_hopf_block():
-    # the tube-chk block at tanh(r) = 1/2 (c = -4): the roots of the Hopf
-    # row, 2 and 1/2, merge into the anchors
-    block, signs = hopf_lift._arrowhead(np.array([0.5, 2.0, 2.5]), np.array([0.0, 0.0, 1.0]), 1.0)
-    got, want = hopf_lift._hopf_block(block), classify_jordan(block, np.diag(signs))
-    assert got.jtype == want.jtype == "I"
-    assert [(a, g) for _, a, g in got.real_eigs] == [(a, g) for _, a, g in want.real_eigs] == [(2, 2), (2, 2)]
+    # Hopf row shares mu's run, whose other rows are exact eigenvectors
+    r = float(np.arctanh(1 / np.sqrt(3)))
+    spec = standard_spectrum("tube-rhn", n, r=r, c=C)
+    assert [a for _, a, _ in spec.entries] == [n - 1, n]
+    assert_matches_full_classification("tube-rhn", r, hopf_lift_data(spec, C))
 
 
 def test_curvature_is_a_homothety():

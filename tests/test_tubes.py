@@ -295,17 +295,6 @@ class TestMeanCurvature:
 
 class TestTubeSpectrumValues:
     @pytest.mark.parametrize(
-        "values", [[1.0, np.nan], [np.inf, 1.0], [-np.inf], [np.nan]], ids=str
-    )
-    def test_spectrum_from_values_rejects_non_finite(self, values):
-        # the merge tolerance scales with the larger value, so inf or NaN
-        # would swallow its neighbour into one entry
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="finite"):
-                tg.spectrum_from_values(values)
-
-    @pytest.mark.parametrize(
         "entries, hopf",
         [(((np.nan, 1, 1),), None), (((1.0, 1, 1), (np.inf, 2, 2)), None),
          (((1.0, 2, 2),), np.nan), (((1.0, 2, 2),), -np.inf)],
@@ -340,8 +329,12 @@ class TestSpectrumFromPairs:
         spec = tg.spectrum_from_pairs([(2.0, 1), (1.0, 0), (np.inf, 0)], hopf_value=2.0)
         assert spec.entries == ((2.0, 1, 1),) and spec.dim == 1 and spec.hopf_value == 2.0
 
-    @pytest.mark.parametrize("values", [[np.inf], [-np.inf, 1.0]], ids=str)
+    @pytest.mark.parametrize(
+        "values", [[np.inf], [-np.inf, 1.0], [1.0, np.nan], [np.inf, 1.0], [-np.inf], [np.nan]], ids=str
+    )
     def test_non_finite_value_raises_without_a_warning(self, values):
+        # the merge tolerance scales with the larger value, so inf or NaN
+        # would swallow its neighbour into one entry
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite"):
@@ -351,13 +344,20 @@ class TestSpectrumFromPairs:
         with pytest.raises(ValueError, match="non-negative"):
             tg.spectrum_from_pairs([(1.0, 2), (1.0, -1)])
 
-    def test_values_are_pairs_of_ones(self):
-        rng = np.random.default_rng(12)
-        x = np.concatenate([rng.standard_normal(20), 1 + rng.uniform(0, 1e-7, 6), [2.0] * 3])
-        rng.shuffle(x)
-        want = tg.spectrum_from_pairs([(v, 1) for v in x], hopf_value=2.0)
-        assert tg.spectrum_from_values(x, hopf_value=2.0) == want
-        assert len(want.entries) < len(x)  # some runs did merge
+    def test_char_spectrum_is_the_roots_pairs(self):
+        # tube_char_spectrum passes lam, mu and the angle factor's roots as
+        # pairs; it equals the pairs of ones of tube_char_roots, with the
+        # closed-form lam = tanh(r) and mu = coth(r) (c = -4) bit for bit
+        rng = np.random.default_rng(27)
+        for _ in range(50):
+            n = int(rng.integers(2, 11))
+            k, r, phi = int(rng.integers(1, 2 * n - 2)), float(rng.uniform(0.05, 3.0)), float(rng.uniform(0, np.pi / 2))
+            got = tg.tube_char_spectrum(n, k, r, phi, C)
+            want = tg.spectrum_from_pairs([(x, 1) for x in tube_char_roots(n, k, r, phi, C)])
+            assert [e[1:] for e in got.entries] == [e[1:] for e in want.entries]
+            assert np.allclose(got.values, want.values, rtol=1e-15, atol=0)
+            for value, power in [(np.tanh(r), 2 * n - k - 2), (1 / np.tanh(r), k - 2)]:
+                assert power < 1 or (value, power, power) in got.entries
 
 
 class TestTubeSpec:
