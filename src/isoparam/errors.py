@@ -16,9 +16,9 @@ class DimensionMismatch(IsoparamError):
 class NondiagnosableOperator(IsoparamError):
     """The eigenstructure matches none of the Lorentzian canonical forms.
 
-    The input has passed the entry checks: its eigenvalues lie where the
-    fixed tolerances of indefinite_linalg, in classify_jordan's ladder or
-    classify_lift's secular roots, can neither separate nor merge them.
+    The input has passed the entry checks, but no candidate merge of
+    classify_jordan and no decision on classify_lift's secular roots fits a
+    canonical shape within the fixed tolerances of indefinite_linalg.
     """
 
 

@@ -190,9 +190,9 @@ def classify_lift(data: LiftedShapeData) -> JordanClassification:
     double root) and a type IV pair above JORDAN_TOL R; a simple one takes a
     Newton step, or, within RANK_TOL S of a pole, its offset from it.
     Eigenvalues within MERGE_TOL S merge to the mean over all their copies.
-    A decision between the rungs or against another, or a basis (in
-    classify_jordan's order) missing M by more than JORDAN_TOL S, the bound
-    of its last rung (_lift_residuals), raises NondiagnosableOperator.
+    A decision between these thresholds or against another, or a basis (in
+    classify_jordan's order) missing M by more than JORDAN_TOL S, the guard
+    of its widest merge (_lift_residuals), raises NondiagnosableOperator.
     """
     spec, b, values = data.spectrum_down, data.b, data.spectrum_down.values
     run = np.repeat(np.arange(len(values)), [a for _, a, _ in spec.entries])  # row -> value

@@ -25,8 +25,8 @@ from .errors import DimensionMismatch, NondiagnosableOperator
 
 RANK_TOL = 1e-8  # kernel singular values, times 1 + max|A|
 SELF_ADJOINT_TOL = 1e-10
-MERGE_TOL = 1e-7  # first rung of the eigenvalue merge ladder, times 1 + max|A|
-JORDAN_TOL = 1e-4  # last rung of the ladder, times 1 + max|A|
+MERGE_TOL = 1e-7  # least eigenvalue merge tolerance, times 1 + max|A|
+JORDAN_TOL = 1e-4  # greatest merge tolerance and guard, times 1 + max|A|
 
 
 @dataclass(frozen=True)
@@ -112,21 +112,21 @@ def classify_jordan(A, gram) -> JordanClassification:
     fail these checks.  A wrong size raises DimensionMismatch, any other
     failed check ValueError.
 
-    Eigenvalues come from the plain unsymmetric eigenproblem and are merged
-    at MERGE_TOL * (1 + max|A|).  The kernel of A - lambda I is spanned by
-    the right singular vectors whose singular values are at or below
-    RANK_TOL * (1 + max|A|); its width is the geometric multiplicity of
-    lambda.  If the first pass matches no canonical shape the eigenvalues
-    are re-merged at a ladder of coarser scales, each 5 times the last, up
-    to JORDAN_TOL * (1 + max|A|): a numerically assembled 3x3 Jordan block
-    splits its eigenvalue at the cube root of the backward error, far
-    beyond any first-pass tolerance, and the kernel widths then settle the
-    structure.  The ladder keeps nearby distinct eigenvalues apart as long
-    as their gap exceeds the noise floor of the splitting.  Each distinct
-    cluster center is factored once per call; the rungs share the kernels.
+    Eigenvalues come from one np.linalg.eig call.  With S = 1 + max|A|, a
+    candidate merges them at a tolerance t: a conjugate pair stays complex
+    above t, and real parts whose consecutive gaps are at most t form one
+    cluster.  The candidates are t = MERGE_TOL S and every gap |Im w_i| or
+    |Re w_i - Re w_j| strictly between MERGE_TOL S and JORDAN_TOL S: all the
+    tolerances where the clustering changes (a 3x3 Jordan block splits at
+    the cube root of the backward error).  The kernel of A - lambda I is
+    spanned by the right singular vectors with singular values at most
+    RANK_TOL S; its width is the geometric multiplicity.  A candidate is
+    admitted by _check_reconstruction at the top of its clustering's range
+    (the next candidate's t, or JORDAN_TOL S for the last); the admitted one
+    of least residual wins, the smaller t on a tie (Kagstrom and Ruhe, ACM
+    TOMS 1980).  The candidates share each cluster center's kernel.
 
-    Raises NondiagnosableOperator when no canonical shape fits at any
-    scale.
+    Raises NondiagnosableOperator with the last refusal if none is admitted.
     """
     A = np.asarray(A, dtype=float)
     G = np.asarray(gram, dtype=float)
@@ -150,25 +150,25 @@ def classify_jordan(A, gram) -> JordanClassification:
     if not np.abs(GA - GA.T).max() <= SELF_ADJOINT_TOL * np.abs(GA).max():
         raise ValueError("matrix is not self-adjoint for the given gram")
 
-    jordan_tol = JORDAN_TOL * scale
-    rank_threshold = RANK_TOL * scale
-
+    lo, hi = MERGE_TOL * scale, JORDAN_TOL * scale
     eig = np.linalg.eig(A)
-
-    ladder = [MERGE_TOL * scale]
-    while ladder[-1] < jordan_tol:
-        ladder.append(min(5 * ladder[-1], jordan_tol))
+    w = eig[0]
+    gaps = np.abs(np.concatenate([w.imag, (w.real[:, None] - w.real).ravel()]))
+    tols = [lo, *sorted(set(gaps[(gaps > lo) & (gaps < hi)].tolist()))]
 
     kernels: dict[float, np.ndarray] = {}
-    # the last rung raises its own error: a caught error kept in a local
-    # would form a cycle (error -> traceback -> this frame) that holds the
-    # kernels until the cyclic garbage collector runs
-    for merge_tol in ladder[:-1]:
+    best, refusal = None, None
+    for merge_tol, guard_tol in zip(tols, tols[1:] + [hi]):
         try:
-            return _classify_pass(A, G, eig, merge_tol, rank_threshold, kernels)
-        except NondiagnosableOperator:
-            pass
-    return _classify_pass(A, G, eig, ladder[-1], rank_threshold, kernels)
+            err, cls = _classify_pass(A, G, eig, merge_tol, guard_tol, RANK_TOL * scale, kernels)
+        except NondiagnosableOperator as exc:
+            refusal = str(exc)
+            continue
+        if best is None or err < best[0]:
+            best = (err, cls)
+    if best is None:
+        raise NondiagnosableOperator(refusal)
+    return best[1]
 
 
 def cluster(values, tol) -> list:
@@ -201,9 +201,6 @@ def _split_spectrum(w: np.ndarray, merge_tol: float):
             raise NondiagnosableOperator(
                 f"{len(vals)} eigenvalues off the real axis; at most one conjugate pair is possible"
             )
-        v1, v2 = vals
-        if abs(v1 - np.conj(v2)) > 2 * merge_tol * (1 + abs(v1)):
-            raise NondiagnosableOperator("non-conjugate complex eigenvalues")
         complex_pair = (float(vals.real.mean()), float(np.abs(vals.imag).mean()))
     reals = np.sort(w[~im_big].real)
     return complex_pair, [
@@ -237,9 +234,10 @@ def _form_orthonormalize(G: np.ndarray, basis: np.ndarray):
     return cols[:, order], signs[order]
 
 
-def _classify_pass(A, G, eig, merge_tol, rank_threshold, kernels):
-    """One rung of the ladder on the checked arrays A and G, with eig the
-    (eigenvalues, eigenvectors) pair of np.linalg.eig(A).  kernels maps each
+def _classify_pass(A, G, eig, merge_tol, guard_tol, rank_threshold, kernels):
+    """(max residual / (1 + max|A|), classification) of one candidate on the
+    checked A and G: eig = np.linalg.eig(A) merged at merge_tol, the basis
+    checked by _check_reconstruction at guard_tol.  kernels maps each
     cluster center already factored in this classify_jordan call to its
     kernel; new ones are added."""
     n = A.shape[0]
@@ -280,8 +278,9 @@ def _classify_pass(A, G, eig, merge_tol, rank_threshold, kernels):
     lead, blocks, first, epsilon = _adapted_basis(A, G, eig, jtype, eigs, complex_pair, kernels)
     cls = _assemble(jtype, lead, blocks, first, complex_pair, epsilon)
     scale = 1 + np.abs(A).max()
-    _check_reconstruction(cls.residuals(A, G), scale, merge_tol, "canonical reconstruction failed")
-    return cls
+    residuals = cls.residuals(A, G)
+    _check_reconstruction(residuals, scale, guard_tol, "canonical reconstruction failed")
+    return max(residuals) / scale, cls
 
 
 def _assemble(jtype, lead, blocks, first, complex_pair, epsilon) -> JordanClassification:

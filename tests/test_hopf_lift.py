@@ -307,7 +307,7 @@ def test_lift_types_at_benchmark_sizes(n):
 
 
 def test_each_cluster_center_factored_once(monkeypatch):
-    # a type III lift needs several ladder rungs; the rungs share the
+    # a type III lift offers several candidate merges; they share the
     # kernel of A - lambda I for every center they have in common
     from isoparam import indefinite_linalg as il
 
@@ -406,7 +406,7 @@ def test_deflated_lift_matches_full_classification(n):
 @pytest.mark.parametrize("eps", [0.01, 0.001])
 def test_free_column_joins_within_first_rung(eps):
     # the full matrix has an eigenvalue eps^2 / 2 below the exact one at 1.0:
-    # 5e-5 at eps = 0.01, 250 times the first rung but inside the last, so
+    # 5e-5 at eps = 0.01, 250 times MERGE_TOL S but below JORDAN_TOL S, so
     # the lift must not merge them where the full classification does not
     assert_matches_full_classification("split-b", eps, split_b_lift(eps))
 
@@ -470,13 +470,13 @@ def test_lift_forms_no_full_size_residual(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 10, 30, 100])
 def test_lift_makes_no_dense_classification(monkeypatch, n):
     # every lift is decided from its secular equation: no input of
-    # lift_cases reaches a pass of classify_jordan's ladder, at any n
+    # lift_cases reaches a candidate pass of classify_jordan, at any n
     from isoparam import indefinite_linalg
 
-    def no_ladder(*args):
+    def no_pass(*args):
         raise AssertionError("classify_lift ran a pass of classify_jordan")
 
-    monkeypatch.setattr(indefinite_linalg, "_classify_pass", no_ladder)
+    monkeypatch.setattr(indefinite_linalg, "_classify_pass", no_pass)
     for r in ([0.05, 0.7, 2.5] if n <= 30 else [0.7]):
         for family, data in lift_cases(n, r):
             classify_lift(data)

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from isoparam import DimensionMismatch, NondiagnosableOperator, classify_jordan
-from isoparam.indefinite_linalg import JordanClassification, MERGE_TOL, _classify_pass, cluster
+from isoparam import indefinite_linalg
+from isoparam.indefinite_linalg import (
+    JORDAN_TOL, MERGE_TOL, JordanClassification, _classify_pass, cluster,
+)
+from isoparam.verification import _lorentz_operator
 
 
 def minkowski(dim):
@@ -234,17 +238,32 @@ class TestClassificationInvariants:
         A = np.diag([1.0, 2.0, 3.0])
         eig, scale = np.linalg.eig(A), 1.0 + 3.0
         with pytest.raises(NondiagnosableOperator, match="inconsistent multiplicities"):
-            _classify_pass(A, minkowski(3), eig, MERGE_TOL * scale, 10.0 * scale, {})
+            _classify_pass(
+                A, minkowski(3), eig, MERGE_TOL * scale, JORDAN_TOL * scale, 10.0 * scale, {}
+            )
 
     @pytest.mark.parametrize("residuals", [(np.nan, np.nan), (0.0, np.nan), (np.nan, 0.0)])
     def test_nan_residual_fails_the_guard(self, monkeypatch, residuals):
-        # every rung's guard refuses, so the last one raises
+        # every candidate's guard refuses, so the last refusal is raised
         monkeypatch.setattr(JordanClassification, "residuals", lambda cls, A, gram: residuals)
         with pytest.raises(NondiagnosableOperator, match="canonical reconstruction failed"):
             classify_jordan(np.diag([-1.0, 2.0, 3.0]), minkowski(3))
 
+    def test_one_pass_on_verify_operators(self, monkeypatch):
+        # the random operators of the jordan suite have no gap between
+        # MERGE_TOL and JORDAN_TOL S, so each call runs one candidate
+        passes, classify_pass = [], indefinite_linalg._classify_pass
+        monkeypatch.setattr(
+            indefinite_linalg, "_classify_pass", lambda *a: passes.append(1) or classify_pass(*a)
+        )
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            passes.clear()
+            classify_jordan(*_lorentz_operator(rng, int(rng.integers(2, 6))))
+            assert len(passes) == 1
+
     def test_one_eig_per_call(self, monkeypatch):
-        # the type IV block takes its eigenvector from the eig of the ladder
+        # the type IV block takes its eigenvector from the eig of the candidates
         eig, calls = np.linalg.eig, []
 
         def counting_eig(a):
@@ -258,17 +277,22 @@ class TestClassificationInvariants:
         assert calls == [(3, 3)]
 
 
-def planted_operator(rng, jtype, lam, extra, clean, epsilon=None, orthogonal=False):
+def planted_operator(
+    rng, jtype, lam, extra, clean, epsilon=None, orthogonal=False, imag=None
+):
     """(A, gram, shape): the canonical type II or III shape at lam, with
-    `extra` more kernel directions at lam and the clean eigenvalues, carried
-    by a seeded basis B as A = B C B^-1 and gram = B^-T Gc B^-1.  B is a
-    rotation (B^-1 = B^T), or the product Q1 D Q2 with D in [0.7, 1.4]
-    (condition at most 2)."""
-    size = {"II": 2, "III": 3}[jtype]
+    `extra` more kernel directions at lam, or the type IV pair lam +- i imag
+    (extra = 0), and the clean eigenvalues, carried by a seeded basis B as
+    A = B C B^-1 and gram = B^-T Gc B^-1.  B is a rotation (B^-1 = B^T), or
+    the product Q1 D Q2 with D in [0.7, 1.4] (condition at most 2)."""
+    size = {"II": 2, "III": 3, "IV": 2}[jtype]
     dim = size + extra + len(clean)
-    real = [(lam, size + extra, 1 + extra)] + [(v, 1, 1) for v in clean]
+    real = [(v, 1, 1) for v in clean]
+    pair = (lam, imag) if jtype == "IV" else None
+    if pair is None:
+        real.append((lam, size + extra, 1 + extra))
     diag = tuple([lam] * extra + list(clean))
-    shape = JordanClassification(jtype, tuple(sorted(real)), None, epsilon, np.eye(dim), diag, dim)
+    shape = JordanClassification(jtype, tuple(sorted(real)), pair, epsilon, np.eye(dim), diag, dim)
     B = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
     if orthogonal:
         B_inv = B.T
@@ -279,15 +303,10 @@ def planted_operator(rng, jtype, lam, extra, clean, epsilon=None, orthogonal=Fal
     return B @ shape.canonical_matrix() @ B_inv, 0.5 * (gram + gram.T), shape
 
 
-SINGLE_BLOCK = (
-    "a lone 3x3 Jordan block splits its eigenvalue into a conjugate pair of imaginary part "
-    "~4e-6, and the first rung accepts the type IV basis within its 1e-5 guard"
-)
-
-
 class TestPlantedShapes:
-    """Canonical type II and III shapes carried by a seeded basis: the Jordan
-    chain and the kernel complement on input that is not an arrowhead."""
+    """Canonical type II, III and IV shapes carried by a seeded basis: the
+    Jordan chain, the kernel complement and the choice among candidate
+    merges on input that is not an arrowhead."""
 
     @staticmethod
     def check(A, gram, shape):
@@ -297,6 +316,9 @@ class TestPlantedShapes:
         assert [(a, g) for _, a, g in cls.real_eigs] == [(a, g) for _, a, g in shape.real_eigs]
         for (v, _, _), (want, _, _) in zip(cls.real_eigs, shape.real_eigs):
             assert abs(v - want) < 1e-6
+        if shape.complex_pair is not None:
+            err = np.abs(np.subtract(cls.complex_pair, shape.complex_pair)).max()
+            assert err < 1e-6 * shape.complex_pair[1]
         assert max(cls.residuals(A, gram)) < 1e-8
 
     @staticmethod
@@ -314,9 +336,7 @@ class TestPlantedShapes:
             self.check(*planted_operator(rng, "II", lam, extra, clean, epsilon))
 
     @pytest.mark.parametrize("nclean", [0, 1, 2])
-    @pytest.mark.parametrize(
-        "extra", [pytest.param(0, marks=pytest.mark.xfail(strict=True, reason=SINGLE_BLOCK)), 1, 2]
-    )
+    @pytest.mark.parametrize("extra", [0, 1, 2])
     def test_type_iii(self, extra, nclean):
         rng = np.random.default_rng([3, extra, nclean])
         for _ in range(6):
@@ -324,13 +344,57 @@ class TestPlantedShapes:
             clean = self.clean_values(rng, lam, nclean)
             self.check(*planted_operator(rng, "III", lam, extra, clean))
 
-    @pytest.mark.xfail(strict=True, reason=SINGLE_BLOCK)
     def test_single_type_iii_block(self):
-        # the canonical block at 0.5 rotated by 20 seeded rotations; all 20
-        # come back as type IV with residuals between 3e-6 and 9e-5
+        # the canonical block at 0.5 rotated by 20 seeded rotations; each also
+        # admits a type IV candidate, with residual between 3e-6 and 9e-5
         for seed in range(20):
             rng = np.random.default_rng(seed)
             self.check(*planted_operator(rng, "III", 0.5, 0, [], orthogonal=True))
+
+    @pytest.mark.parametrize("nclean", [0, 1, 2])
+    @pytest.mark.parametrize("imag", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    def test_type_iv_with_small_imaginary_part(self, imag, nclean):
+        # from imag = 1e-4 down, the pair's gaps lie below JORDAN_TOL S and
+        # offer candidates that merge it; none of them reconstructs better
+        rng = np.random.default_rng([4, round(-np.log10(imag)), nclean])
+        for _ in range(6):
+            lam = rng.uniform(-2.0, 2.0)
+            clean = self.clean_values(rng, lam, nclean)
+            self.check(*planted_operator(rng, "IV", lam, 0, clean, imag=imag))
+
+    def test_least_residual_decides(self, monkeypatch):
+        # a lone 3x3 block splits its eigenvalue into a real value and a
+        # pair of imaginary part ~4e-6: the type IV candidate that keeps
+        # the pair passes its guard, and the type III one that merges all
+        # three wins on its lower residual
+        passes, classify_pass = [], indefinite_linalg._classify_pass
+
+        def recording_pass(*args):
+            err, cls = classify_pass(*args)
+            passes.append((cls.jtype, err))
+            return err, cls
+
+        monkeypatch.setattr(indefinite_linalg, "_classify_pass", recording_pass)
+        for seed in range(5):
+            passes.clear()
+            rng = np.random.default_rng(seed)
+            A, gram, _ = planted_operator(rng, "III", 0.5, 0, [], orthogonal=True)
+            assert classify_jordan(A, gram).jtype == "III"
+            best = {}
+            for jtype, err in passes:
+                best[jtype] = min(err, best.get(jtype, np.inf))
+            assert set(best) == {"III", "IV"}
+            assert best["III"] < best["IV"]
+            assert best["III"] == min(err for _, err in passes)
+
+    def test_tie_goes_to_the_smaller_tolerance(self, monkeypatch):
+        # the lone block of seed 0 offers three candidates, in ascending
+        # tolerance; the choice reads only the residuals they return
+        A, gram, _ = planted_operator(np.random.default_rng(0), "III", 0.5, 0, [], orthogonal=True)
+        results = iter([(2.0, "first"), (1.0, "second"), (1.0, "third")])
+        monkeypatch.setattr(indefinite_linalg, "_classify_pass", lambda *args: next(results))
+        assert classify_jordan(A, gram) == "second"
+        assert next(results, None) is None
 
 
 class TestCluster:
