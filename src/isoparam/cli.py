@@ -175,7 +175,7 @@ def _cmd_spectrum(args) -> dict:
         if args.angle is not None:
             angles = [(args.angle, None)]
         else:
-            profile, _, _ = ka.kahler_profile(W.w_perp_subspace())
+            profile, _, _ = ka.kahler_profile(W.w.perp)
             angles = [(a, m) for a, m in profile.entries]
         spectra = []
         for angle, mult in angles:

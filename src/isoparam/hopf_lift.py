@@ -39,8 +39,8 @@ from .errors import (
     check_curvature,
 )
 from .indefinite_linalg import (
-    JORDAN_TOL, MERGE_TOL, RANK_TOL, JordanClassification, _assemble, _check_reconstruction,
-    _pair_basis, cluster,
+    JORDAN_TOL, MERGE_TOL, RANK_TOL, JordanClassification, _assemble, _chain_columns,
+    _check_reconstruction, _pair_basis, cluster,
 )
 from .tube_geometry import TubeSpectrum, _tube_block, spectrum_from_pairs
 
@@ -120,21 +120,11 @@ def lift_shape_operator(data: LiftedShapeData) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lift_residuals(block, signs, cls, rows, offsets):
-    """residuals(M, gram) of the bordered matrix M in cls's basis, without M: M
-    is block on rows (the weighted rows and the vertical field), which hold
-    every column but the unit ones, whose residual is their offset."""
-    top, lead = cls.adapted_basis[rows], cls.lead_block()
-    cols = np.flatnonzero(top.any(axis=0))  # the block's: the lead's, then the timelike one
-    top, k = top[:, cols], len(lead)
-    canonical = np.diag([*np.diagonal(lead), *(cls.diag[i - k] for i in cols[k:])])
-    canonical[:k, :k] = lead  # canonical_matrix() on these columns, then canonical_gram()
-    gram = top.T @ (signs[:, None] * top) - np.eye(len(cols))
-    if cls.jtype in ("I", "IV"):
-        gram[0, 0] += 2.0
-    else:
-        gram[:2, :2] += [[1.0, -1.0], [-1.0, 1.0]]
-    shape = np.abs(block @ top - top @ canonical).max()  # np.max: a NaN must fail the guard
-    return float(np.abs(gram).max()), float(np.max(np.abs([*offsets, shape])))
+    """residuals(M, gram) of the bordered matrix M in cls's basis, without M:
+    cls.residuals of block on rows (the weighted rows and the vertical field),
+    which hold every column but the unit ones, whose residual is their offset."""
+    gram_err, shape_err = cls.residuals(block, np.diag(signs), rows)
+    return gram_err, float(np.max(np.abs([*offsets, shape_err])))  # np.max: a NaN fails the guard
 
 
 def _secular(gap, x, sb):
@@ -148,7 +138,8 @@ def _chain(x, d, sb, signs, length):
     """(columns, epsilon) of the type II or III block, of length 2 or 3, at x:
     with N = M - x and u the vertical field, N v = -f u, N v' = v - f' u and
     N v''/2 = v' - f''/2 u, so shifts along u give v, v', v''/2 the Gram of
-    an exact chain, normalised as indefinite_linalg's chains are."""
+    an exact chain, which _chain_columns normalises as it does
+    classify_jordan's."""
     t = sb / (d - x)
     v, v1, v2 = (np.append(t / (d - x) ** j, float(j == 0)) for j in range(3))
     u = np.append(np.zeros(len(t)), 1.0)
@@ -159,16 +150,10 @@ def _chain(x, d, sb, signs, length):
     g = dot(v, v)  # <v + a u, v + a u> = g - 2a - a^2 and <v + a u, u> = -(1 + a)
     a = g / (1 + (1 + g) ** 0.5)
     v = v + a * u
-    if length == 2:
-        s = dot(v, v1)
-        epsilon, norm = (1 if s > 0 else -1), abs(s) ** 0.5
-        return np.column_stack([v1 - dot(v1, v1) / (2 * s) * v, v * epsilon]) / norm, epsilon
-    v1 = v1 + dot(v, v1) / (1 + a) * u  # <v, v'> = 0
-    v2 = v2 + (dot(v, v2) - dot(v1, v1)) / (1 + a) * u  # <v, v''/2> = <v', v'>
-    e1, e2, e3 = np.array([v, v2, v1]) / dot(v, v2) ** 0.5
-    shift = -0.5 * dot(e2, e3)  # null out <e2, e3>, then <e2, e2>
-    e2 = e2 - 0.5 * (dot(e2, e2) + 2 * shift * dot(e2, e3) + shift * shift) * e1 + shift * e3
-    return np.column_stack([e1, e2, e3 + shift * e1]), None
+    if length == 3:
+        v1 = v1 + dot(v, v1) / (1 + a) * u  # <v, v'> = 0
+        v2 = v2 + (dot(v, v2) - dot(v1, v1)) / (1 + a) * u  # <v, v''/2> = <v', v'>
+    return _chain_columns([v2, v1, v][3 - length:], dot)
 
 
 def classify_lift(data: LiftedShapeData) -> JordanClassification:

@@ -71,17 +71,22 @@ class JordanClassification:
             return np.array([[lam, 0.0], [float(self.epsilon), lam]])
         return np.array([[lam, 0.0, 1.0], [0.0, lam, 0.0], [0.0, 1.0, lam]])
 
-    def canonical_matrix(self) -> np.ndarray:
+    def canonical_matrix(self, cols=None) -> np.ndarray:
         """The type I/II/III/IV matrix realized in adapted_basis: the lead
-        block, then diag."""
+        block, then diag; on the ascending basis columns cols only, which
+        then start with the lead's."""
         lead = self.lead_block()
-        M = np.diag(np.concatenate([np.zeros(len(lead)), self.diag]))
-        M[:len(lead), :len(lead)] = lead
+        k = len(lead)
+        diag = self.diag if cols is None else np.asarray(self.diag)[cols[k:] - k]
+        M = np.diag(np.concatenate([np.zeros(k), diag]))
+        M[:k, :k] = lead
         return M
 
-    def canonical_gram(self) -> np.ndarray:
-        """Gram matrix of the adapted basis: orthonormal or semi-null."""
-        G = np.eye(self.dim)
+    def canonical_gram(self, cols=None) -> np.ndarray:
+        """Gram matrix of the adapted basis: orthonormal or semi-null; on the
+        ascending basis columns cols only, which then start with the
+        timelike one (types I and IV) or the null pair (II and III)."""
+        G = np.eye(self.dim if cols is None else len(cols))
         if self.jtype in ("I", "IV"):
             G[0, 0] = -1.0
         else:
@@ -89,13 +94,19 @@ class JordanClassification:
             G[0, 1] = G[1, 0] = 1.0
         return G
 
-    def residuals(self, A, gram) -> tuple[float, float]:
+    def residuals(self, A, gram, rows=None) -> tuple[float, float]:
         """Max-norm reconstruction residuals of A and gram in adapted_basis B:
-        (|B^T gram B - canonical_gram()|, |A B - B canonical_matrix()|)."""
-        B = self.adapted_basis
+        (|B^T gram B - canonical_gram()|, |A B - B canonical_matrix()|).  With
+        rows, A and gram act on those rows of B only, an invariant block that
+        holds the timelike or null columns, and B is the columns nonzero there."""
+        B, cols = self.adapted_basis, None
+        if rows is not None:
+            B = B[rows]
+            cols = np.flatnonzero(B.any(axis=0))
+            B = B[:, cols]
         return (
-            float(np.abs(B.T @ gram @ B - self.canonical_gram()).max()),
-            float(np.abs(A @ B - B @ self.canonical_matrix()).max()),
+            float(np.abs(B.T @ gram @ B - self.canonical_gram(cols)).max()),
+            float(np.abs(A @ B - B @ self.canonical_matrix(cols)).max()),
         )
 
 
@@ -360,12 +371,32 @@ def _pair_basis(x, y, G):
     return np.column_stack([yr / norm, xr / norm])
 
 
+def _chain_columns(chain, dot):
+    """(columns, epsilon) of the type II or III block from an exact chain
+    [top, N top(, N^2 top)] of N = A - lam I and the form's inner product dot,
+    with dot(chain[-1], chain[0]) nonzero, positive for type III.  II: [unit,
+    null = epsilon N unit] with <null, unit> = 1, unit the top shifted along
+    N top to be null.  III: [e1, e2, e3 = N e2] with e1 = N e3, e2 the top
+    shifted along e1 and e3 to null out <e2, e3> and <e2, e2>.  N is applied
+    through the chain."""
+    if len(chain) == 2:
+        top, low = chain
+        s = dot(low, top)
+        epsilon, norm = (1 if s > 0 else -1), abs(s) ** 0.5
+        return np.column_stack([top - dot(top, top) / (2 * s) * low, low * epsilon]) / norm, epsilon
+    e2, e3, e1 = np.array(chain) / dot(chain[2], chain[0]) ** 0.5
+    shift = -0.5 * dot(e2, e3)
+    e2 = e2 - 0.5 * (dot(e2, e2) + 2 * shift * dot(e2, e3) + shift * shift) * e1 + shift * e3
+    return np.column_stack([e1, e2, e3 + shift * e1]), None
+
+
 def _jordan_chain(A, G, jtype, lam, alg, geo, kernel):
     """(chain, rest, epsilon): the columns of the type II or III block at the
-    defective eigenvalue lam, and the geo - 1 spacelike directions of its
-    kernel off the chain.  With N = A - lam I the chain has length
-    p = alg - geo + 1: its top is the least-null direction of (V^T N V)^(p-1),
-    V the alg most-null right singular vectors of N^p, and N maps it down."""
+    defective eigenvalue lam (_chain_columns), and the geo - 1 spacelike
+    directions of its kernel off the chain.  With N = A - lam I the chain has
+    length p = alg - geo + 1: its top is the least-null direction of
+    (V^T N V)^(p-1), V the alg most-null right singular vectors of N^p, and N
+    maps it down; a pairing too small to normalise raises."""
     n = A.shape[0]
     N = A - lam * np.eye(n)
     p = alg - geo + 1
@@ -373,31 +404,13 @@ def _jordan_chain(A, G, jtype, lam, alg, geo, kernel):
     chain = [V @ np.linalg.svd(np.linalg.matrix_power(V.T @ N @ V, p - 1))[2][0]]
     for _ in range(p - 1):
         chain.append(N @ chain[-1])
-    epsilon = None
-    if jtype == "II":
-        wv, z = chain
-        s_val = float(z @ G @ wv)
-        if abs(s_val) < 1e-12 * (1 + np.abs(A).max()):
-            raise NondiagnosableOperator("degenerate semi-null pairing in type II block")
-        epsilon = 1 if s_val > 0 else -1
-        wv = wv - (float(wv @ G @ wv) / (2 * s_val)) * z  # null out <w, w>
-        beta = np.sqrt(abs(s_val))
-        cols = [wv / beta, z / (epsilon * beta)]
-        unit, null = cols
-    else:
-        e2, e3, e1 = chain
-        t = float(e1 @ G @ e2)
-        if t <= 1e-12 * (1 + np.abs(A).max()) ** 2:
-            raise NondiagnosableOperator("type III chain has nonpositive pairing")
-        e1, e2, e3 = e1 / np.sqrt(t), e2 / np.sqrt(t), e3 / np.sqrt(t)
-        # shift e2 along e1 and e3 to null out <e2, e3> and <e2, e2>
-        b_adj = -0.5 * float(e2 @ G @ e3)
-        a_adj = -0.5 * (float(e2 @ G @ e2) + 2 * b_adj * float(e2 @ G @ e3) + b_adj**2)
-        e2 = e2 + a_adj * e1 + b_adj * e3
-        e3 = N @ e2
-        e1 = N @ e3
-        cols = [e1, e2, e3]
-        null, unit = e1, e2
+    pairing, scale = chain[-1] @ G @ chain[0], 1 + np.abs(A).max()
+    if jtype == "II" and abs(pairing) < 1e-12 * scale:
+        raise NondiagnosableOperator("degenerate semi-null pairing in type II block")
+    if jtype == "III" and pairing <= 1e-12 * scale**2:
+        raise NondiagnosableOperator("type III chain has nonpositive pairing")
+    cols, epsilon = _chain_columns(chain, lambda x, y: x @ G @ y)
+    unit, null = cols.T[:2] if jtype == "II" else cols.T[1::-1]
     rest = np.empty((n, 0))
     if geo > 1:
         # the kernel directions G-orthogonal to the chain (<null, unit> = 1)
@@ -406,4 +419,4 @@ def _jordan_chain(A, G, jtype, lam, alg, geo, kernel):
         rest, signs = _form_orthonormalize(G, q[:, : geo - 1])
         if (signs < 0).any():
             raise NondiagnosableOperator(f"type {jtype} kernel complement is not spacelike")
-    return np.column_stack(cols), rest, epsilon
+    return cols, rest, epsilon

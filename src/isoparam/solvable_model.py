@@ -305,9 +305,6 @@ class SubmanifoldW:
     def tangent_dim(self) -> int:
         return 2 * self.n - self.k
 
-    def w_perp_subspace(self) -> RealSubspace:
-        return RealSubspace(self.n - 1, self.w_perp_basis)
-
     def _frame_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Flat coordinates of tangent_frame() and normal_frame(), as rows."""
         T = np.zeros((self.tangent_dim, 2 * self.n))

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from isoparam import FocalRadius, random_subspace, verification
+from isoparam import FocalRadius, NondiagnosableOperator, random_subspace, verification
 from isoparam.cli import EXAMPLES, EXIT_NOINPUT, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, run
 from isoparam.verification import _record
 from test_readme_cli import strict_json
@@ -247,22 +247,24 @@ class TestVerify:
         assert checks[0]["passed"] is True
         assert "worst_input" not in checks[0]
 
-    @pytest.mark.parametrize("curvature", ["-16", "-100", "-1e-6"])
-    def test_suite_that_raises_is_a_failed_record(self, capsys, curvature):
-        # at these curvatures some suites draw a sample in a defect band
-        # that raises; each reports one failed check and every suite runs
-        code, out = run_cli(
-            capsys, "verify", "--seed", "0", f"--curvature={curvature}", "--output", "json"
-        )
+    @pytest.mark.parametrize("suite", verification.SUITES)
+    def test_suite_that_raises_is_a_failed_record(self, capsys, monkeypatch, suite):
+        # the suite raises on purpose; it reports one failed check, and
+        # every suite runs
+        def raising_suite(config):
+            raise NondiagnosableOperator("planted raise")
+
+        monkeypatch.setitem(verification._SUITE_RUNNERS, suite, raising_suite)
+        code, out = run_cli(capsys, "verify", "--seed", "0", "--output", "json")
         assert code == EXIT_VALIDATION
         payload = json.loads(out)
         validate("verify", payload)
-        assert [suite["suite"] for suite in payload["suites"]] == list(verification.SUITES)
-        raised = [ch for suite in payload["suites"] for ch in suite["checks"] if ch["name"] == "raised"]
-        assert raised
-        for ch in raised:
-            assert (ch["samples"], ch["max_residual"], ch["passed"]) == (0, None, False)
-            assert set(ch["worst_input"]) == {"error", "message"}
+        assert [s["suite"] for s in payload["suites"]] == list(verification.SUITES)
+        raised = [(s["suite"], ch) for s in payload["suites"] for ch in s["checks"] if ch["name"] == "raised"]
+        assert [name for name, _ in raised] == [suite]
+        ch = raised[0][1]
+        assert (ch["samples"], ch["max_residual"], ch["passed"]) == (0, None, False)
+        assert set(ch["worst_input"]) == {"error", "message"}
 
     def test_raised_record_names_the_error(self, monkeypatch):
         def raising_suite(config):

@@ -13,6 +13,8 @@ from isoparam import (
     TubeSpec,
     TubeSpectrum,
     build_w,
+    check_type_constraints,
+    classify,
     classify_jordan,
     classify_lift,
     hopf_lift_data,
@@ -236,12 +238,12 @@ def test_rhn_round_trip_at_small_radius(n, r):
     assert spec.matches(project_spectrum(cls, C), tol=1e-8)
 
 
-def w_tube_normal(n, k, seed):
+def w_tube_normal(n, k, seed, c=C):
     """(W_w, xi): a random w with dim w_perp = k, and a random unit normal."""
-    W = build_w(random_subspace(n - 1, 2 * (n - 1) - k, seed=seed), n, C)
+    W = build_w(random_subspace(n - 1, 2 * (n - 1) - k, seed=seed), n, c)
     v = W.w_perp_basis.T @ np.random.default_rng(seed).standard_normal(k)
     v /= np.linalg.norm(v)
-    return W, ANVector(0.0, v[0::2] + 1j * v[1::2], 0.0, C)
+    return W, ANVector(0.0, v[0::2] + 1j * v[1::2], 0.0, c)
 
 
 def w_tube_lift(n, r, k, seed):
@@ -457,10 +459,10 @@ def test_lift_forms_no_full_size_residual(monkeypatch):
     n = 100
     residuals = JordanClassification.residuals
 
-    def small_only(cls, A, gram):
+    def small_only(cls, A, gram, rows=None):
         if len(A) == 2 * n:
             raise AssertionError("dense residual of the full lift")
-        return residuals(cls, A, gram)
+        return residuals(cls, A, gram, rows)
 
     monkeypatch.setattr(JordanClassification, "residuals", small_only)
     for _, data in lift_cases(n, 0.7):
@@ -557,7 +559,10 @@ def test_hopf_row_in_a_shared_run_matches_the_full_matrix(n):
 def test_curvature_is_a_homothety():
     # at c = -4 s0^2 every curvature of a Hopf family at radius r / s0 is
     # s0 times its value at c = -4 and radius r, and so is every
-    # eigenvalue of the lift; 1,000 seeded draws of each family, any n, k
+    # eigenvalue of the lift; 1,000 seeded draws of each family, any n, k.
+    # Then the same for 300 W-tubes, n = 3-10, with the same w and normal
+    # (Kahler angle in (0.1, pi/2 - 0.1)), whose lifts also keep their
+    # admissibility and whose w keeps its case
     def rel(u, v):
         return abs(u - v) / abs(v)
 
@@ -581,3 +586,30 @@ def test_curvature_is_a_homothety():
         pairs = [*zip(got.complex_pair or (), want.complex_pair or ())]
         for u, v in pairs + [(u, v) for (u, _, _), (v, _, _) in zip(got.real_eigs, want.real_eigs)]:
             assert rel(u, s0 * v) <= 1e-10, case
+
+    for seed in range(300):
+        rng = np.random.default_rng([29, seed])
+        n = int(rng.integers(3, 11))
+        k = int(rng.integers(2, 2 * n - 2))
+        c = float(rng.choice([-1e-6, -1e-2, -1.0, -16.0, -1e2, -1e4]))
+        r = float(np.exp(rng.uniform(np.log(0.05), np.log(3.0))))
+        s0 = np.sqrt(-c) / 2
+        while True:
+            w_seed = int(rng.integers(2**31))
+            W, xi = w_tube_normal(n, k, w_seed)
+            if 0.1 < normal_kahler_angle(W, xi) < np.pi / 2 - 0.1:
+                break
+        W_c, xi_c = w_tube_normal(n, k, w_seed, c)
+        got, want = tube_lift_data(TubeSpec(W_c, r / s0), xi_c), tube_lift_data(TubeSpec(W, r), xi)
+        case = ("w-tube", n, c, r, k, w_seed)
+        down = [*zip(got.spectrum_down.values, want.spectrum_down.values)]
+        assert max(rel(u, s0 * v) for u, v in down) <= 1e-10, case
+        got, want = classify_lift(got), classify_lift(want)
+        assert (got.jtype, got.epsilon) == (want.jtype, want.epsilon), case
+        assert [e[1:] for e in got.real_eigs] == [e[1:] for e in want.real_eigs], case
+        pairs = [*zip(got.complex_pair or (), want.complex_pair or ())]
+        for u, v in pairs + [(u, v) for (u, _, _), (v, _, _) in zip(got.real_eigs, want.real_eigs)]:
+            assert rel(u, s0 * v) <= 1e-12, case
+        admissible = check_type_constraints(got, c).admissible
+        assert admissible == check_type_constraints(want, C).admissible, case
+        assert classify(n, c, r=r / s0, w=W_c.w).case == classify(n, C, r=r, w=W.w).case, case

@@ -396,6 +396,21 @@ class TestPlantedShapes:
         assert classify_jordan(A, gram) == "second"
         assert next(results, None) is None
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "the type III basis has a column of norm about the scale (the block's off-diagonal "
+        "entries are 1), so its absolute residuals grow with the scale; the type IV candidate's "
+        "are lower and win"))
+    @pytest.mark.parametrize("scale", [1e6, 1e8])
+    def test_type_iii_at_large_scale(self, scale):
+        # draw 19 of the CI step "planted Jordan shapes": a lone type III
+        # block, no clean values, condition-2 basis; right up to scale 1e4
+        rng = np.random.default_rng([29, 19])
+        lam = rng.uniform(-2.0, 2.0)
+        A, gram, shape = planted_operator(rng, "III", lam, 0, self.clean_values(rng, lam, 0))
+        cls = classify_jordan(scale * A, gram)
+        assert (cls.jtype, cls.real_eigs[0][1:]) == ("III", (3, 1))
+        assert abs(cls.real_eigs[0][0] / scale - lam) < 1e-6
+
 
 class TestCluster:
     @staticmethod

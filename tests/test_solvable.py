@@ -271,7 +271,7 @@ class TestFrameSplitting:
 
     def test_p_perp_rank_counts_nonzero_kahler_angles(self, name):
         _, W = self.frames(name)
-        profile, _, _ = kahler_profile(W.w_perp_subspace())
+        profile, _, _ = kahler_profile(W.w.perp)
         nonzero = sum(mult for angle, mult in profile.entries if angle > ANGLE_TOL)
         assert len(W.p_perp_basis) == nonzero == FRAME_CASES[name][1]
 
