@@ -16,7 +16,9 @@ operator A_xi of W_w couples only Z with P w_perp, so the tube operator
 leaves span{Z, P xi, F xi} invariant and is lambda = s0 tanh(s0 r) on the
 rest of the tangent space of W_w and mu = s0 coth(s0 r) on the rest of
 w_perp minus xi, s0 = sqrt(-c)/2: the factorisation
-(lambda - x)^(2n-k-2) (mu - x)^(k-2) f_phi(x) of tube_char_poly.
+(lambda - x)^(2n-k-2) (mu - x)^(k-2) f_phi(x) of tube_char_poly, with the
+angle cubic f_phi(x) = -(x - lambda)^2 (x - lambda - mu) - lambda (mu - lambda)^2
+sin^2(phi) solved in y = x - lambda, exact to rounding at every radius.
 _tube_block evolves only that 3 x 3 block, and numeric_shape_operator the
 whole frame, with no closed form in it, to check the factorisation.
 
@@ -209,29 +211,40 @@ def parallel_data(r: float, t: float, c: float):
 # closed-form spectra
 
 
-def angle_factor_cubic(lam: float, phi: float, c: float) -> np.ndarray:
-    """Coefficients (degree 3 first) of the angle-dependent cubic factor
-    of the tube characteristic polynomial:
+def _gap(s0: float, r: float) -> float:
+    """mu - lam = 2 s0 / sinh(2 s0 r) = 4 s0 q / (1 - q^2), q = e^(-2 s0 r), exact
+    to rounding at every radius; it overflows at a subnormal r (callers ignore it)."""
+    return 4 * s0 * np.exp(-2 * s0 * r) / -np.expm1(-4 * s0 * r)
 
-    f(x) = -x^3 + (-c/(4 lam) + 3 lam) x^2 + (c - 6 lam^2) x / 2
-           + (16 lam^4 - 16 c lam^2 - c^2 + (c + 4 lam^2)^2 cos(2 phi)) / (32 lam).
-    """
-    return np.array(
-        [
-            -1.0,
-            -c / (4 * lam) + 3 * lam,
-            0.5 * (c - 6 * lam**2),
-            (16 * lam**4 - 16 * c * lam**2 - c**2 + (c + 4 * lam**2) ** 2 * np.cos(2 * phi))
-            / (32 * lam),
-        ]
-    )
+
+def _angle_factor(lam: float, mu: float, g: float, phi: float, k: int) -> np.ndarray:
+    """Coefficients in y = x - lam, highest degree first, of the angle factor:
+    f_phi(x) = -(x - lam)^2 (x - lam - mu) - lam g^2 sin^2(phi), g = mu - lam
+    (c = -4 lam mu), is -y^3 + mu y^2 - lam g^2 sin^2(phi).  For k = 1, phi is
+    pi/2 and y = g a root: the factor is f_phi / (mu - x) = y^2 - lam y - lam g."""
+    if k == 1:
+        return np.array([1.0, -lam, -lam * g])
+    return np.array([-1.0, mu, 0.0, -(lam * g) * g * np.sin(phi) ** 2])
+
+
+def angle_factor_cubic(lam: float, phi: float, c: float) -> np.ndarray:
+    """Coefficients (degree 3 first) in x of the angle cubic f_phi of the
+    tube characteristic polynomial at lam, with mu = -c/(4 lam): the factor
+    of _angle_factor composed with y = x - lam."""
+    mu = -c / (4 * lam)
+    f = list(_angle_factor(lam, mu, mu - lam, phi, 2))
+    for top in (3, 2, 1):  # Horner's Taylor shift, f(y) -> f(x - lam)
+        for j in range(1, top + 1):
+            f[j] -= lam * f[j - 1]
+    return np.array(f)
 
 
 def _char_factors(n: int, k: int, r: float, phi: float, c: float):
     """Factors of the tube characteristic polynomial, inputs validated:
-    (lam, mu, the angle factor, power of (lam - x), power of (mu - x)).
-    Computed in float64; raises FocalRadius when the factor, or mu for
-    k > 2, is not finite (lam underflows to 0 or an entry overflows)."""
+    (lam, mu, the angle factor in y = x - lam, power of (lam - x), power of
+    (mu - x)) with lam = s0 tanh(s0 r) and mu = s0 coth(s0 r).  Raises
+    FocalRadius when the factor, or mu for k > 2, is not finite (lam
+    underflows to 0, or mu and g overflow at a subnormal r)."""
     if n < 2 or not 1 <= k <= 2 * n - 3:
         raise InvalidCodimension(f"need n >= 2 and 1 <= k <= 2n-3, got n={n}, k={k}")
     check_radius(r)
@@ -239,75 +252,58 @@ def _char_factors(n: int, k: int, r: float, phi: float, c: float):
     if not 0 <= phi <= np.pi / 2 + 1e-12:
         raise ValueError("phi must lie in [0, pi/2]")
     s0 = np.sqrt(-c) / 2
-    lam, c = s0 * np.tanh(s0 * r), np.float64(c)
+    t = np.tanh(s0 * r)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        mu = -c / (4 * lam)
-        if k == 1:
-            factor = np.polydiv(angle_factor_cubic(lam, np.pi / 2, c), np.array([-1.0, mu]))[0]
-        else:
-            factor = angle_factor_cubic(lam, phi, c)
+        lam, mu = s0 * t, s0 / t
+        factor = _angle_factor(lam, mu, _gap(s0, r), phi, k)
     if not np.isfinite(factor).all() or (k > 2 and not np.isfinite(mu)):
         raise FocalRadius(f"the tube characteristic polynomial at r = {r}, c = {c} is not finite")
-    if k == 1:
-        return float(lam), float(mu), factor, 2 * n - 3, 0
-    return float(lam), float(mu), factor, 2 * n - k - 2, k - 2
+    return float(lam), float(mu), factor, 2 * n - k - 2, max(k - 2, 0)
 
 
 def tube_char_poly(n: int, k: int, r: float, phi: float, c: float) -> np.ndarray:
-    """Characteristic polynomial of the tube shape operator, degree 2n-1.
-
-    p(x) = (lam - x)^(2n-k-2) (-c/(4 lam) - x)^(k-2) f_{lam,phi}(x) with
-    lam = (sqrt(-c)/2) tanh(r sqrt(-c)/2).  For k = 1 the angle is pi/2
-    and -c/(4 lam) is an exact root of the cubic, so the polynomial is
-    read as (lam - x)^(2n-3) times the quadratic f / (-c/(4 lam) - x).
-
-    Returns coefficients with the highest degree first.
-    """
-    lam, mu, poly, power_lam, power_mu = _char_factors(n, k, r, phi, c)
-    for _ in range(power_lam):
-        poly = np.polymul(poly, np.array([-1.0, lam]))
-    for _ in range(power_mu):
-        poly = np.polymul(poly, np.array([-1.0, mu]))
+    """Characteristic polynomial of the tube shape operator, degree 2n-1, highest
+    degree first: (lam - x)^(2n-k-2) (mu - x)^max(k-2, 0) f(x - lam), f the angle
+    factor of _char_factors.  FocalRadius when a coefficient (~ lam^(2n-1)) overflows."""
+    lam, mu, factor, power_lam, power_mu = _char_factors(n, k, r, phi, c)
+    x = np.poly1d([1.0, 0.0])
+    poly = (np.poly1d(factor)(x - lam) * (lam - x) ** power_lam * (mu - x) ** power_mu).coeffs
+    if not np.isfinite(poly).all():
+        raise FocalRadius(f"the tube characteristic polynomial at r = {r}, c = {c} overflows")
     return poly
 
 
 def tube_char_roots(n: int, k: int, r: float, phi: float, c: float) -> np.ndarray:
-    """Roots of tube_char_poly, ascending.  The cubic (or quadratic) factor
-    is solved through the companion matrix; the power factors contribute
-    their roots exactly."""
+    """Roots of tube_char_poly, ascending: lam plus each companion-matrix root
+    of the angle factor in y, and lam and mu with their powers."""
     lam, mu, factor, power_lam, power_mu = _char_factors(n, k, r, phi, c)
-    roots = list(_poly_roots(factor)) + [lam] * power_lam + [mu] * power_mu
-    return np.sort(np.array(roots))
+    return np.sort([*(lam + _poly_roots(factor)), *[lam] * power_lam, *[mu] * power_mu])
 
 
 def tube_char_spectrum(n: int, k: int, r: float, phi: float, c: float) -> TubeSpectrum:
     """tube_char_roots as a spectrum: lam, mu with their powers and the angle factor's roots."""
     lam, mu, factor, p_lam, p_mu = _char_factors(n, k, r, phi, c)
-    return spectrum_from_pairs([(lam, p_lam), (mu, p_mu), *((x, 1) for x in _poly_roots(factor))])
+    return spectrum_from_pairs([(lam, p_lam), (mu, p_mu), *((x, 1) for x in lam + _poly_roots(factor))])
 
 
 def _poly_roots(coeffs: np.ndarray) -> np.ndarray:
     """Real roots of a low-degree polynomial via its companion matrix."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    monic = coeffs / coeffs[0]
-    deg = len(monic) - 1
-    comp = np.zeros((deg, deg))
-    comp[1:, :-1] = np.eye(deg - 1)
-    comp[:, -1] = -monic[::-1][:-1]
-    roots = np.linalg.eigvals(comp)
-    return np.sort(roots.real)
+    monic = np.asarray(coeffs, dtype=float) / coeffs[0]
+    comp = np.eye(len(monic) - 1, k=-1)
+    comp[:, -1] = -monic[:0:-1]
+    return np.sort(np.linalg.eigvals(comp).real)
 
 
 def tube_mean_curvature(n: int, k: int, r: float, c: float) -> float:
     """Mean curvature of the tube of radius r around a (2n-k)-dim W_w:
 
-    H = 2 s0 (k - 1) / sinh(2 s0 r) + 2n s0 tanh(s0 r),  s0 = sqrt(-c)/2,
+    H = (k - 1) g + 2n s0 tanh(s0 r),  g = mu - lam = 2 s0 / sinh(2 s0 r),
 
-    with 1/sinh(x) = 2 e^(-x) / (1 - e^(-2x)), and no such term for k = 1.
+    s0 = sqrt(-c)/2 and g from _gap, with no such term for k = 1.
     Constant in the normal direction (and hence in the Kahler angle): the
     tubes are isoparametric.  For k = 1, r = 0 is allowed and gives the
     minimal ruled hypersurface itself.  Raises FocalRadius when H is not
-    finite (1/sinh overflows at a tiny r).
+    finite (g overflows at a tiny r).
     """
     if n < 2 or not 1 <= k <= 2 * n - 3:
         raise InvalidCodimension(f"need n >= 2 and 1 <= k <= 2n-3, got n={n}, k={k}")
@@ -319,7 +315,7 @@ def tube_mean_curvature(n: int, k: int, r: float, c: float) -> float:
     H = 2 * n * s0 * np.tanh(s0 * r)
     if k > 1:
         with np.errstate(over="ignore", divide="ignore"):
-            H = 2 * s0 * (k - 1) * (2 * np.exp(-2 * s0 * r) / -np.expm1(-4 * s0 * r)) + H
+            H = (k - 1) * _gap(s0, r) + H
     if not np.isfinite(H):
         raise FocalRadius(f"the mean curvature at r = {r} is not finite")
     return float(H)

@@ -599,11 +599,12 @@ def verify_suites(config: RunConfig, suites=SUITES) -> dict:
     Deterministic given (seed, suites); failures are recorded with the
     module, invariant name, worst input and residual.  A suite whose
     sample raises an IsoparamError reports one failed check "raised" that
-    names the error, and the other suites still run.
+    names the error, and the other suites still run.  Raises ValueError for
+    an unknown suite or an empty selection.
     """
     unknown = [s for s in suites if s not in _SUITE_RUNNERS]
-    if unknown:
-        raise ValueError(f"unknown suites: {unknown}")
+    if unknown or not suites:  # an empty selection would pass vacuously
+        raise ValueError(f"unknown suites: {unknown}" if unknown else "no suite selected")
     results = []
     for name in suites:
         try:

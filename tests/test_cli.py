@@ -208,10 +208,24 @@ class TestVerify:
         assert payload["ok"] is True
 
     def test_empty_suite_set(self, capsys):
-        code, out = run_cli(capsys, "verify", "--suite", "", "--output", "json")
+        # a selection that names no suite would pass vacuously: it is refused
+        for suite in ("", ","):
+            code, out = run_cli(capsys, "verify", "--suite", suite, "--output", "json")
+            assert code == EXIT_VALIDATION
+            payload = strict_json(out)
+            validate("error", payload)
+            assert payload["error"] == {"type": "ValueError", "message": "no suite selected"}
+        with pytest.raises(ValueError, match="no suite selected"):
+            verification.verify_suites(verification.RunConfig(), ())
+
+    def test_tube_suite_at_a_small_curvature(self, capsys):
+        # at c = -1e-6 every radius draw has s0 r <= 1.5e-3, where the angle
+        # cubic solved in x lost trace_identity to 2.1e-9 against 1e-9
+        code, out = run_cli(capsys, "verify", "--suite", "tube", "--seed", "0",
+                            "--curvature=-1e-6", "--output", "json")
         assert code == EXIT_OK
-        payload = json.loads(out)
-        assert payload["suites"] == []
+        payload = strict_json(out)
+        validate("verify", payload)
         assert payload["ok"] is True
 
     def test_unknown_suite(self, capsys):
@@ -631,11 +645,9 @@ class TestStrictJson:
         [
             ["spectrum", "--example", "lohnherr", "--n", "3", "--radius", "1e-310"],
             ["spectrum", "--n", "3", "--radius", "1e-310"],
-            ["spectrum", "--curvature=-1e300", "--n", "3", "--radius", "0.5"],
             ["spectrum", "--curvature=-1e-300", "--n", "3", "--radius", "1e-300"],
         ],
-        ids=["lohnherr-subnormal-r", "subspace-subnormal-r", "c-squared-overflows",
-             "lam-underflows"],
+        ids=["lohnherr-subnormal-r", "subspace-subnormal-r", "lam-underflows"],
     )
     def test_non_finite_char_factors_refused(self, capsys, line_in_c2, argv):
         if "--example" not in argv:
@@ -647,6 +659,19 @@ class TestStrictJson:
         payload = strict_json(out)
         validate("error", payload)
         assert payload["error"]["type"] == "FocalRadius"
+
+    def test_huge_curvature_spectrum_answers(self, capsys, line_in_c2):
+        # at c = -1e300 and r = 0.5, lam = mu = s0 = 5e149 to rounding and the
+        # top curvature is 2 s0, at both angles of a real line's w_perp
+        argv = ["spectrum", "--curvature=-1e300", "--n", "3", "--radius", "0.5",
+                "--subspace", line_in_c2, "--output", "json"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        payload = strict_json(out)
+        validate("spectrum", payload)
+        assert [rec["entries"] for rec in payload["spectra"]] == [[[5e149, 4, 4], [1e150, 1, 1]]] * 2
 
     def test_huge_curvatures_fail_without_overflow(self, capsys):
         # curvatures near 1e300 are finite; the reconstruction guard of

@@ -233,18 +233,68 @@ class TestCharPoly:
 
     @pytest.mark.parametrize(
         "k, r, c",
-        [(1, 1e-310, C), (2, 1e-310, C), (3, 1e-310, C), (2, 0.5, -1e300), (3, 1e-300, -1e-300)],
-        ids=["k1-subnormal-r", "k2-subnormal-r", "k3-subnormal-r", "c-squared-overflows",
-             "lam-underflows"],
+        [(1, 1e-310, C), (2, 1e-310, C), (3, 1e-310, C), (3, 1e-300, -1e-300)],
+        ids=["k1-subnormal-r", "k2-subnormal-r", "k3-subnormal-r", "lam-underflows"],
     )
     def test_non_finite_factors_raise_focal_radius(self, k, r, c):
-        # at a subnormal r, -c/(4 lam) overflows; at c = -1e300, c^2 does;
-        # at c = r = 1e-300, lam underflows to 0
+        # at a subnormal r, mu = s0 coth(s0 r) and mu - lam overflow; at
+        # c = r = 1e-300, lam underflows to 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for call in (tube_char_poly, tube_char_roots):
                 with pytest.raises(FocalRadius, match="not finite"):
                     call(3, k, r, np.pi / 2 if k == 1 else np.pi / 4, c)
+
+    def test_roots_against_mpmath_of_the_expanded_cubic(self):
+        # oracle: the roots of the angle cubic in its expanded x form,
+        # -x^3 + (-c/(4 lam) + 3 lam) x^2 + (c - 6 lam^2) x / 2
+        # + (16 lam^4 - 16 c lam^2 - c^2 + (c + 4 lam^2)^2 cos 2 phi) / (32 lam),
+        # at 80 digits (for k = 1 without its root mu), and lam, mu with their
+        # powers.  Worst relative error of a root over these cells: 8.0e-16.
+        # Solving the expanded cubic in float64 instead reaches 3.7e-8 on
+        # them (at s0 r = 12), and 1.6e-5 on other draws at s0 r = 1e-6
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(2)
+        worst = 0.0
+        with mp.workdps(80):
+            for s0r in (1e-6, 1e-4, 0.01, 1, 3, 5, 8, 12, 20, 30, 50):
+                for c in (-1e-6, -4.0, -100.0):
+                    for _ in range(3):
+                        n = int(rng.integers(2, 21))
+                        k = int(rng.integers(1, 2 * n - 2))
+                        phi = np.pi / 2 if k == 1 else float(rng.uniform(0, np.pi / 2))
+                        r = s0r / (np.sqrt(-c) / 2)
+                        s0, cc, ph = mp.sqrt(-mp.mpf(c)) / 2, mp.mpf(c), mp.mpf(phi)
+                        lam, mu = s0 * mp.tanh(s0 * r), s0 / mp.tanh(s0 * r)
+                        cubic = [-1, -cc / (4 * lam) + 3 * lam, (cc - 6 * lam**2) / 2,
+                                 (16 * lam**4 - 16 * cc * lam**2 - cc**2
+                                  + (cc + 4 * lam**2) ** 2 * mp.cos(2 * ph)) / (32 * lam)]
+                        want = [mp.re(x) for x in mp.polyroots(cubic, maxsteps=500, extraprec=400)]
+                        if k == 1:
+                            want.remove(min(want, key=lambda x: abs(x - mu)))
+                        want = sorted(want + [lam] * (2 * n - k - 2) + [mu] * max(k - 2, 0))
+                        got = tube_char_roots(n, k, r, phi, c)
+                        worst = max(worst, max(abs((x - y) / y) for x, y in zip(got, want)))
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_huge_curvature_answers(self, k):
+        # at c = -1e300 and r = 0.5, s0 r = 2.5e149: lam = mu = s0 = 5e149 to
+        # rounding and the top root is lam + mu = 2 s0; no c^2 is formed.
+        # The polynomial's constant term, about s0^5, does overflow
+        phi = np.pi / 2 if k == 1 else np.pi / 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = tube_char_roots(3, k, 0.5, phi, -1e300)
+            with pytest.raises(FocalRadius, match="overflows"):
+                tube_char_poly(3, k, 0.5, phi, -1e300)
+        assert roots.tolist() == [5e149] * 4 + [1e150]
+
+    def test_overflowing_coefficients_raise_focal_radius(self):
+        # degree 19 at s0 = 5e34: the roots are finite, the coefficients not
+        assert tube_char_roots(10, 3, 1.0, 0.7, -1e70)[-1] == pytest.approx(1e35)
+        with pytest.raises(FocalRadius, match="overflows"):
+            tube_char_poly(10, 3, 1.0, 0.7, -1e70)
 
 
 class TestMeanCurvature:

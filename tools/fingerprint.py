@@ -8,6 +8,9 @@ same script can fingerprint another commit's tree, and prints:
 
 - `verify <seed> <exit code> <md5>`: md5 of `isoparam verify --suite all
   --output json` at seeds 0, 7, 42 and 63;
+- `verify 0 c=<c> <exit code> <md5> <failed checks>`: the same at seed 0
+  and curvatures -1e-6, -16 and -100, with each failed check as
+  `<suite>.<check>` (`-` when none fails);
 - `sweep <seed> <op> <family> <n> <outcome> <md5>`: each of the 720
   tube-sweep ops of seeds 1-3 (240 a seed), its outcome and the md5 of
   its lift (Jordan type, real eigenvalues, complex pair, epsilon, diagonal,
@@ -27,7 +30,10 @@ non-zero only when it raises.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
+import json
 import os
 import sys
 from pathlib import Path
@@ -36,6 +42,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")  # the verify verdicts are recorded on one thread
 
 VERIFY_SEEDS = (0, 7, 42, 63)
+VERIFY_CURVATURES = (-1e-6, -16.0, -100.0)  # at seed 0
 SWEEP_SEEDS = (1, 2, 3)
 BANDS = ((1e-6, 1e-4), (1e-4, 0.05), (3.0, 12.0))
 BAND_NS, BAND_CYCLES = (10, 30), 6  # 8 ops a cycle: 48 a seed
@@ -91,6 +98,15 @@ def main(argv=None) -> int:
     for seed in VERIFY_SEEDS:
         rc, out = workloads.run_verify(cli, seed)
         print("verify", seed, rc, hashlib.md5(out.encode()).hexdigest())
+    for c in VERIFY_CURVATURES:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            rc = cli.run(["verify", "--suite", "all", "--seed", "0", f"--curvature={c!r}",
+                          "--output", "json"])
+        failed = [f"{suite['suite']}.{ch['name']}" for suite in json.loads(buf.getvalue())["suites"]
+                  for ch in suite["checks"] if not ch["passed"]]
+        print("verify", 0, f"c={c!r}", rc, hashlib.md5(buf.getvalue().encode()).hexdigest(),
+              ",".join(failed) or "-")
 
     for seed in SWEEP_SEEDS:
         sweep = workloads.TubeSweep(seed)
