@@ -121,7 +121,7 @@ def check_type_constraints(
     for every real eigenvalue, 4a^2 + 4b^2 + c = 0, and the Hopf value 2a
     inside (-sqrt(-c), sqrt(-c)).
     """
-    s0 = np.sqrt(-c) / 2
+    s0 = check_curvature(c)
     scale = 1 + abs(c)
     checks: list[ConstraintCheck] = []
 

@@ -209,13 +209,11 @@ def _cmd_lift(args) -> dict:
     if args.example == "lohnherr":
         if args.radius in (None, 0.0):
             # the ruled hypersurface itself is not Hopf: J xi is the unit
-            # P xi, splitting evenly between the +-sqrt(-c)/2 directions
+            # P xi, splitting evenly between the -s0 and +s0 directions,
+            # the first and last of the ascending curvatures
             spec = tg.lohnherr_spectrum(args.n, c)
-            values = spec.expanded()
-            s0 = np.sqrt(-c) / 2
-            b = np.zeros(len(values))
-            b[int(np.argmin(np.abs(values + s0)))] = 1 / np.sqrt(2)
-            b[int(np.argmax(values))] = 1 / np.sqrt(2)
+            b = np.zeros(spec.dim)
+            b[[0, -1]] = 1 / np.sqrt(2)
             data = hopf_lift.LiftedShapeData(spec, b, c)
         else:
             w = _random_hyperplane(args.n, args.seed)

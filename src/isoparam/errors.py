@@ -68,10 +68,14 @@ class ParityViolation(IsoparamError):
     """A constant-angle subspace with angle below pi/2 must have even dimension."""
 
 
-def check_curvature(c: float):
-    """Raise ValueError unless the ambient curvature c is finite and negative."""
+def check_curvature(c: float) -> float:
+    """s0 = sqrt(-c)/2 of the ambient curvature c: scaling the metric of
+    CH^n(c) by s0^2 gives CH^n(-4), so the geometry at (c, r) is s0 times the
+    geometry at (-4, s0 r), and s0 = 1.0 exactly at c = -4.  Raise ValueError
+    unless c is finite and negative."""
     if not -math.inf < c < 0:  # also rejects NaN
         raise ValueError(f"curvature c must be negative and finite, got {c}")
+    return math.sqrt(-c) / 2
 
 
 def check_radius(r, zero_ok=False):

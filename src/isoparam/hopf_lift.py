@@ -115,7 +115,7 @@ def lift_shape_operator(data: LiftedShapeData) -> tuple[np.ndarray, np.ndarray]:
     diag(1,...,1,-1), so classify_jordan(*lift_shape_operator(data)) types
     it; its trace equals the downstairs mean curvature exactly.
     """
-    M, signs = _arrowhead(data.spectrum_down.expanded(), data.b, np.sqrt(-data.c) / 2)
+    M, signs = _arrowhead(data.spectrum_down.expanded(), data.b, check_curvature(data.c))
     return M, np.diag(signs)
 
 
@@ -181,7 +181,7 @@ def classify_lift(data: LiftedShapeData) -> JordanClassification:
     """
     spec, b, values = data.spectrum_down, data.b, data.spectrum_down.values
     run = np.repeat(np.arange(len(values)), [a for _, a, _ in spec.entries])  # row -> value
-    m, s0 = len(run), np.sqrt(-data.c) / 2
+    m, s0 = len(run), check_curvature(data.c)
     scale = 1.0 + max(abs(values[0]), abs(values[-1]), s0 * np.abs(b).max())
     weighted = b * b > 0
     rows = np.flatnonzero(np.append(weighted, True))  # the block: weighted rows, vertical field
@@ -211,9 +211,9 @@ def classify_lift(data: LiftedShapeData) -> JordanClassification:
             col = np.zeros((m + 1, 1))
             col[rows, 0] = np.append(t, 1.0) / abs(slope) ** 0.5
             return [x, c + 1, c + 1, [col, *blocks], unit, True, slope > 0]
-        if length > 1:
-            if jtype != "I":
-                raise NondiagnosableOperator("more than one defective secular root")
+        if length > 1:  # no Lorentzian Jordan block is longer than 3
+            if jtype != "I" or length > 3:
+                raise NondiagnosableOperator("more than one defective secular root, or one above 3")
             lead, jtype = np.zeros((m + 1, length)), "I" * length  # II or III
             lead[rows], epsilon = _chain(x, dw, sb, signs, length)
         return [x, c + length, c + (length > 0), blocks, unit, length > 0, length > 0]
@@ -292,7 +292,7 @@ def project_spectrum(cls: JordanClassification, c: float) -> TubeSpectrum:
     Raises ConstraintViolation when the classification violates the
     algebraic relations forced on isoparametric lifts.
     """
-    s0 = np.sqrt(-c) / 2
+    s0 = check_curvature(c)
     dim_down = cls.dim - 1
 
     if cls.jtype == "I":

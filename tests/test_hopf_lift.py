@@ -4,9 +4,10 @@ types and the projection back to downstairs spectra."""
 import numpy as np
 import pytest
 
-from isoparam import hopf_lift
+from isoparam import hopf_lift, tube_geometry
 from isoparam import (
     ConstraintViolation,
+    IsoparamError,
     JordanClassification,
     LiftedShapeData,
     NondiagnosableOperator,
@@ -20,12 +21,16 @@ from isoparam import (
     hopf_lift_data,
     lift_shape_operator,
     normal_kahler_angle,
+    parallel_data,
     project_spectrum,
     random_subspace,
     standard_spectrum,
+    tube_char_roots,
     tube_lift_data,
+    tube_mean_curvature,
 )
 from isoparam.solvable_model import ANVector
+from isoparam.tube_geometry import spectrum_from_pairs
 
 C = -4.0
 
@@ -514,6 +519,62 @@ def test_lohnherr_lift_is_type_iii_at_zero():
     assert (payload["jordan_type"], payload["eigenvalues"]) == ("III", [[0.0, 8, 6]])
 
 
+def test_secular_cluster_of_four_roots_is_refused():
+    # two Hopf weights of about 1e-16 on a run of multiplicity 2 leave four
+    # secular roots within MERGE_TOL of each other; no Lorentzian Jordan
+    # block is longer than 3, so the lift refuses (it raised IndexError)
+    h = float.fromhex
+    pairs = [(h("-0x1.24e03f0a25b4cp+0"), 1), (h("-0x1.2125bc85d2042p-1"), 1),
+             (h("0x1.76d770d5fc0c0p-4"), 2), (h("0x1.b0744ca13b5bap-1"), 1),
+             (h("0x1.a6e7e201c00d3p+0"), 1)]
+    b = [h("0x1.18eebcd18e5aep-3"), h("0x1.3f047e48d2c98p-1"), h("0x1.0c8b46cd819aap-53"),
+         h("0x1.92d0ea344267fp-52"), h("0x1.8989b52b60e6fp-1"), h("-0x1.7cfe0857df226p-5")]
+    data = LiftedShapeData(spectrum_from_pairs(pairs), np.array(b), h("-0x1.05b9014f56811p+1"))
+    with pytest.raises(NondiagnosableOperator):
+        classify_lift(data)
+
+
+def test_lift_raises_typed_or_agrees_with_the_full_matrix():
+    # property over LiftedShapeData: 1-5 runs of near-equal curvatures
+    # (steps 0 to 1e-6 relative), Hopf weights down to 1e-17 and c from
+    # -1e-6 to -1e6.  classify_lift raises an IsoparamError or agrees with
+    # classify_jordan on the full bordered matrix on type, multiplicities
+    # and epsilon
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def lifts(draw):
+        pairs = []
+        for _ in range(draw(st.integers(1, 5))):
+            base = draw(st.floats(-3.0, 3.0))
+            for _ in range(draw(st.integers(1, 4))):
+                step = draw(st.sampled_from([0.0, 1e-16, 1e-13, 1e-10, 1e-8, 1e-7, 1e-6]))
+                pairs.append((base + draw(st.sampled_from([-step, step])) * (1 + abs(base)),
+                              draw(st.integers(1, 3))))
+        spectrum = spectrum_from_pairs(pairs)
+        signs = draw(st.lists(st.sampled_from([0.0, 1.0, -1.0]), min_size=spectrum.dim, max_size=spectrum.dim))
+        exps = draw(st.lists(st.floats(0.0, 17.0), min_size=spectrum.dim, max_size=spectrum.dim))
+        b = np.array(signs) * 10.0 ** -np.array(exps)
+        if not b.any():
+            b[0] = 1.0
+        return LiftedShapeData(spectrum, b / np.linalg.norm(b), -(10.0 ** draw(st.floats(-6.0, 6.0))))
+
+    def shape(cls):
+        return cls.jtype, cls.epsilon, [(a, g) for _, a, g in cls.real_eigs]
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @hypothesis.given(lifts())
+    def check(data):
+        try:
+            got = classify_lift(data)
+        except IsoparamError:
+            return
+        assert shape(got) == shape(classify_jordan(*lift_shape_operator(data))), data
+
+    check()
+
+
 @pytest.mark.parametrize("r", [0.3, 0.7, 1.5])
 def test_zero_weight_eigenvalue_keeps_its_row(r):
     # for n = 2, k = 1 the W-tube curvature lambda = s0 tanh(s0 r) carries
@@ -562,9 +623,15 @@ def test_curvature_is_a_homothety():
     # eigenvalue of the lift; 1,000 seeded draws of each family, any n, k.
     # Then the same for 300 W-tubes, n = 3-10, with the same w and normal
     # (Kahler angle in (0.1, pi/2 - 0.1)), whose lifts also keep their
-    # admissibility and whose w keeps its case
+    # admissibility and whose w keeps its case.  tube_geometry computes at
+    # s0 = 1 and radius s0 r, so where s0 is a power of two (c = -1, -16)
+    # its curvatures are s0 times those at c = -4 bit for bit; the lift's
+    # arithmetic is not scale-free, so its eigenvalues keep a tolerance
     def rel(u, v):
         return abs(u - v) / abs(v)
+
+    def scaled(got, want, s0, tol):
+        return got == s0 * want if np.log2(s0) % 1 == 0 else rel(got, s0 * want) <= tol
 
     for seed in range(1000):
         rng = np.random.default_rng([24, seed])
@@ -578,7 +645,7 @@ def test_curvature_is_a_homothety():
         case = (family, n, c, r, k)
         assert [e[1:] for e in got.entries] == [e[1:] for e in want.entries], case
         for u, v in [*zip(got.values, want.values), (got.hopf_value, want.hopf_value)]:
-            assert rel(u, s0 * v) <= 1e-15, case
+            assert scaled(u, v, s0, 1e-15), case
         got, want = classify_lift(hopf_lift_data(got, c)), classify_lift(hopf_lift_data(want, C))
         assert (got.jtype, got.epsilon) == (want.jtype, want.epsilon), case
         assert [e[1:] for e in got.real_eigs] == [e[1:] for e in want.real_eigs], case
@@ -603,7 +670,7 @@ def test_curvature_is_a_homothety():
         got, want = tube_lift_data(TubeSpec(W_c, r / s0), xi_c), tube_lift_data(TubeSpec(W, r), xi)
         case = ("w-tube", n, c, r, k, w_seed)
         down = [*zip(got.spectrum_down.values, want.spectrum_down.values)]
-        assert max(rel(u, s0 * v) for u, v in down) <= 1e-10, case
+        assert all(scaled(u, v, s0, 1e-10) for u, v in down), case
         got, want = classify_lift(got), classify_lift(want)
         assert (got.jtype, got.epsilon) == (want.jtype, want.epsilon), case
         assert [e[1:] for e in got.real_eigs] == [e[1:] for e in want.real_eigs], case
@@ -613,3 +680,30 @@ def test_curvature_is_a_homothety():
         admissible = check_type_constraints(got, c).admissible
         assert admissible == check_type_constraints(want, C).admissible, case
         assert classify(n, c, r=r / s0, w=W_c.w).case == classify(n, C, r=r, w=W.w).case, case
+
+    # a tube-geometry sweep at c = -4 * 4^j, j = -3, ..., 3, where s0 = 2^j
+    # and r / s0 are exact: at radius r / s0 the tube curvatures are s0 times
+    # (alpha_t 1/s0 times) their values at c = -4 and radius r, bit for bit;
+    # 1,800 draws, n = 2-10, k = 1 to 2n - 3, and on 160 of them _tube_block
+    for seed in range(1800):
+        rng = np.random.default_rng([31, seed])
+        s0 = 2.0 ** (seed % 7 - 3)
+        c, n = -4 * s0 * s0, int(rng.integers(2, 11))
+        k, r = int(rng.integers(1, 2 * n - 2)), float(np.exp(rng.uniform(np.log(0.05), np.log(3.0))))
+        phi, t = (np.pi / 2 if k == 1 else rng.uniform(0.0, np.pi / 2)), rng.uniform(0.0, r)
+        case = (n, k, r, phi, t, c)
+        for family in ("tube-chk", "tube-rhn", "horosphere"):
+            got, want = (standard_spectrum(family, n, r=r / s0, c=c, k=k % n),
+                         standard_spectrum(family, n, r=r, c=C, k=k % n))
+            assert got.entries == tuple((s0 * v, a, g) for v, a, g in want.entries), (family, case)
+            assert got.hopf_value == s0 * want.hopf_value, (family, case)
+        assert (tube_char_roots(n, k, r / s0, phi, c) == s0 * tube_char_roots(n, k, r, phi, C)).all(), case
+        assert tube_mean_curvature(n, k, r / s0, c) == s0 * tube_mean_curvature(n, k, r, C), case
+        lam, mu, alpha, beta, focal = parallel_data(r, t, C)
+        assert parallel_data(r / s0, t / s0, c) == (s0 * lam, s0 * mu, alpha / s0, beta, focal), case
+        if seed % 45 < 4:
+            (W, xi), (W_c, xi_c) = (w_tube_normal(n, k, seed), w_tube_normal(n, k, seed, c))
+            want = tube_geometry._tube_block(TubeSpec(W, r), xi)
+            got = tube_geometry._tube_block(TubeSpec(W_c, r / s0), xi_c)
+            assert got[:2] == (s0 * want[0], s0 * want[1]) and got[2:4] == want[2:4], case
+            assert (got[4] == s0 * want[4]).all() and (got[5] == want[5]).all(), case
